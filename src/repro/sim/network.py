@@ -58,8 +58,8 @@ class Message:
     #: transfers from the same sender (RAW-style static channels).
     tag: object = None
     #: Send serial number.  Delivery is ordered by (ready_cycle, seq) so a
-    #: bulk deliver after a fast-forwarded stall window lands messages in
-    #: exactly the order per-cycle delivery would have.
+    #: bulk deliver after a clock jump lands messages in exactly the
+    #: order per-cycle delivery would have.
     seq: int = 0
     #: Link-layer CRC over (src, dst, kind, tag, seq, value), stamped at
     #: SEND time when destructive faults are armed (0 otherwise).
@@ -184,6 +184,11 @@ class OperandNetwork:
         #: Optional :class:`~repro.obs.events.Observability` event bus:
         #: when attached, sends and receives emit probe events.
         self.obs = None
+        #: Optional event-driven core scheduler (the machine): told about
+        #: every send, so a core sleeping on a RECV or LISTEN wakes at the
+        #: message's arrival, and every credit return, so a core sleeping
+        #: on a full queue wakes when the receiver drains.
+        self.scheduler = None
 
     # -- queue mode -----------------------------------------------------------
 
@@ -264,6 +269,8 @@ class OperandNetwork:
         self._in_flight.append(message)
         if self.obs is not None:
             self.obs.net_send(cycle, src, dst, kind, self._seq, arrival)
+        if self.scheduler is not None:
+            self.scheduler.on_send(message)
 
     def deliver(self, cycle: int) -> None:
         """Move arrived messages into receive queues (per-pair credits bound
@@ -271,8 +278,8 @@ class OperandNetwork:
 
         Arrivals land ordered by (ready_cycle, seq): with per-cycle
         delivery that is the natural append order, and it keeps a bulk
-        deliver after a fast-forwarded stall window bit-identical to
-        delivering cycle by cycle.
+        deliver after the clock jumps over cycles with no core due
+        bit-identical to delivering cycle by cycle.
         """
         if not self._in_flight:
             return
@@ -401,6 +408,8 @@ class OperandNetwork:
                 self._pool_load[message.dst] = (
                     self._pool_load.get(message.dst, 1) - 1
                 )
+        if self.scheduler is not None:
+            self.scheduler.on_credit(message.dst)
 
     def next_data_arrival(
         self, core: int, src: int, tag: object = None
@@ -408,7 +417,7 @@ class OperandNetwork:
         """Earliest ready_cycle of a data message matching a RECV on
         ``core`` from ``src`` with ``tag`` -- queued or still in flight --
         or None when no such message exists anywhere in the network.  Used
-        by the fast-forward kernel to compute a blocked RECV's release."""
+        by the event-driven kernel to compute a blocked RECV's wake time."""
         best: Optional[int] = None
         for message in self.receive_queues[core]:
             if (
