@@ -9,11 +9,14 @@ import re
 
 import pytest
 
-from repro.arch import four_core, single_core, two_core
+from repro.arch import four_core, resolve_machine, single_core, two_core
+from repro.compiler import VoltronCompiler
 from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
 from repro.isa.program import Function, Program
+from repro.obs import ObsConfig, Observability
 from repro.sim import Deadlock, OutOfCycles, SimulatorError, VoltronMachine
+from repro.workloads.suite import build
 
 R = lambda i: Reg(RegFile.GPR, i)
 P = lambda i: Reg(RegFile.PR, i)
@@ -181,6 +184,29 @@ class TestCoupledLockstep:
         assert c0.stalls["dstall"] > 50
         assert c1.stalls["dstall"] == c0.stalls["dstall"]
 
+    def test_branch_into_mid_line_block_fetches_it(self):
+        # The branch target starts mid-way through a cold I-cache line:
+        # the rebuilt ensemble position must probe it even though the
+        # slot is not at a line boundary.
+        def blocks():
+            return [
+                ("entry", [
+                    op(Opcode.PBR, [B(0)], [], target="far"),
+                    op(Opcode.BR, [], [B(0)]),
+                ], "far", "pad"),
+                ("pad", [op(Opcode.NOP)] * 20, None, "far"),
+                ("far", [op(Opcode.NOP), op(Opcode.HALT)], None, None),
+            ]
+
+        compiled = assemble(2, {0: blocks(), 1: blocks()})
+        line = two_core().l1i.line_words
+        far = compiled.streams[0]["main"].block("far")
+        fast = run(compiled, two_core())
+        assert far.base_addr % line != 0
+        slow = run(compiled, two_core(), fast_forward=False)
+        assert fast.stats.to_dict() == slow.stats.to_dict()
+        assert [c.l1i_misses for c in fast.stats.cores] == [2, 2]
+
     def test_lockstep_divergence_detected(self):
         # The cores branch to *different* logical blocks in the same cycle:
         # the lock-step assertion must catch the divergence.
@@ -274,6 +300,39 @@ class TestModeSwitchAndThreads:
     def test_idle_listening_is_counted(self):
         machine = run(self._dual_mode_program(), two_core())
         assert machine.stats.cores[1].stalls["idle"] > 0
+
+    def test_call_barrier_completed_by_a_lower_core(self):
+        # Core 1 reaches the CALL barrier first; core 0 completes it four
+        # cycles later.  In the completing cycle core 1 (stepped after
+        # core 0) sees the barrier already gone and is charged
+        # ``barrier``, every earlier waiting cycle ``call_sync``.
+        def blocks(work):
+            return [
+                ("entry", [op(Opcode.MODE_SWITCH, mode="decoupled", align=960)],
+                 None, "work"),
+                ("work", [op(Opcode.NOP)] * work
+                 + [op(Opcode.CALL, function="callee")], None, "after"),
+                ("after", [op(Opcode.HALT)], None, None),
+            ]
+
+        compiled = assemble(
+            2, {0: blocks(4), 1: blocks(0)},
+            modes={"work": "decoupled", "after": "decoupled"},
+        )
+        compiled.program.add_function(Function("callee"))
+        compiled.program.function("callee").add_block("entry")
+        for core in range(2):
+            callee = CoreFunction("callee", "entry")
+            callee.add_block(CoreBlock(
+                "entry", slots=[op(Opcode.NOP), op(Opcode.RET)]
+            ))
+            compiled.add_function(core, callee)
+        fast = run(compiled, two_core())
+        slow = run(compiled, two_core(), fast_forward=False)
+        assert fast.stats.to_dict() == slow.stats.to_dict()
+        stalls = fast.stats.cores[1].stalls
+        assert stalls["barrier"] == 1
+        assert stalls["call_sync"] == 3
 
     def test_deadlock_detected_when_all_listen(self):
         blocks = {
@@ -409,6 +468,59 @@ class TestTermination:
         # A free core says so instead of inventing a cause.
         core.next_free = 0
         assert "free" in machine._core_diagnostics()
+
+
+class TestOutOfCyclesInsideSleeps:
+    """A cycle budget that runs out while cores sleep -- decoupled
+    barrier waiters, or a coupled ensemble held on the stall bus --
+    must fire at the same cycle, with the same partial stats, as the
+    single-stepping kernel: bulk credits owed to sleeping cores are
+    settled on the way out."""
+
+    @staticmethod
+    def _cut_inside(compiled, config, categories, mode):
+        """A cycle strictly inside a stall span of one of ``categories``
+        recorded while the machine was in ``mode``."""
+        obs = Observability(ObsConfig(single_step=True))
+        VoltronMachine(compiled, config, obs=obs).run()
+        windows = [(s, e) for s, e, m in obs.mode_segments if m == mode]
+        for spans in obs.stall_spans:
+            for start, length, category in spans:
+                if category in categories and length >= 8 and any(
+                    s <= start and start + length <= e for s, e in windows
+                ):
+                    return start + length // 2
+        raise AssertionError(f"no {categories} span found in {mode} mode")
+
+    def _assert_same_cut(self, name, machine, categories, mode):
+        config = resolve_machine(machine)
+        compiled = VoltronCompiler(build(name).program).compile(
+            "hybrid", config
+        )
+        cut = self._cut_inside(compiled, config, categories, mode)
+        outcomes = []
+        for fast_forward in (True, False):
+            sim = VoltronMachine(
+                compiled, config, max_cycles=cut, fast_forward=fast_forward
+            )
+            with pytest.raises(OutOfCycles):
+                sim.run()
+            outcomes.append(
+                (sim.cycle, sim.stats.to_dict(), sim.network.send_stalls)
+            )
+        assert outcomes[0][0] == cut
+        assert outcomes[0] == outcomes[1]
+
+    def test_inside_a_barrier_window(self):
+        self._assert_same_cut(
+            "gsmdecode", "four", ("call_sync", "barrier"), "decoupled"
+        )
+
+    def test_inside_a_coupled_stall(self):
+        self._assert_same_cut("gsmdecode", "four", ("dstall",), "coupled")
+
+    def test_inside_a_clustered_coupled_stall(self):
+        self._assert_same_cut("epic", "mesh16", ("dstall",), "coupled")
 
 
 class TestProgramArgs:
