@@ -709,6 +709,10 @@ class ExperimentRunner:
         for cell in self._spec_cells(spec):
             self._note_failed(cell, reason)
 
+    def _note_pool_dispatch(self, spec: Tuple) -> None:
+        for cell in self._spec_cells(spec):
+            self._note_dispatched(cell, self._journal_key(cell), mode="pool")
+
     def _pool_round(self, specs: List[Tuple]) -> List[Tuple]:
         """One pool pass over ``specs``.  Returns the specs that blew
         their deadline or lost their heartbeat (for the caller to
@@ -722,7 +726,7 @@ class ExperimentRunner:
         deadlines = {}
         timed_out: List[Tuple] = []
         broken = False
-        unsubmitted: List[Tuple] = []
+        refused: List[Tuple] = []
         for index, spec in enumerate(specs):
             if supervising and self._hb_dir is not None:
                 # A beat left over from an earlier round must not read
@@ -731,6 +735,9 @@ class ExperimentRunner:
                     _heartbeat_path(self._hb_dir, spec[0]).unlink()
                 except OSError:
                     pass
+            # Write-ahead: the pool attempt is journaled before it is
+            # made, so a driver killed mid-submit never loses a dispatch.
+            self._note_pool_dispatch(spec)
             try:
                 future = pool.submit(self._worker_fn, spec)
             except BrokenProcessPool:
@@ -739,17 +746,20 @@ class ExperimentRunner:
                 # nothing more can be submitted this round.
                 broken = True
                 self.failures.worker_crashes += 1
-                unsubmitted = specs[index:]
+                refused = specs[index:]
                 break
             futures[future] = spec
-            for cell in self._spec_cells(spec):
-                self._note_dispatched(cell, self._journal_key(cell), mode="pool")
             if self.cell_timeout is not None:
                 deadlines[future] = started + self.cell_timeout * max(
                     1, len(spec[1])
                 )
         if broken:
-            for spec in list(futures.values()) + unsubmitted:
+            # Every spec the broken pool refused still burns a journaled
+            # pool attempt before its serial one (the refusing spec was
+            # journaled before its submit).
+            for spec in refused[1:]:
+                self._note_pool_dispatch(spec)
+            for spec in list(futures.values()) + refused:
                 self._fail_spec(spec, "pool-broken")
                 self._serial_fallback(spec)
             futures.clear()

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from repro.harness import ExperimentRunner, JournalReplay
+from repro.harness import ExperimentRunner, JournalReplay, experiments
 from repro.harness.experiments import (
     _heartbeat_path,
     _run_cells_worker,
     _write_heartbeat,
 )
+from repro.harness.journal import read_journal
 from repro.harness.reporting import render_failure_line, render_journal_line
 
 BENCHES = ("rawcaudio", "gsmdecode")
@@ -85,6 +88,56 @@ class TestBrokenPoolJournalled:
         for cell in CELLS:
             assert resumed._runs[cell].cycles == first._runs[cell].cycles
         assert "2 replayed" in render_journal_line(resumed)
+
+    def test_refused_submit_is_journaled_as_a_pool_attempt(
+        self, tmp_path, monkeypatch
+    ):
+        # Deterministic stand-in for the race where the first worker's
+        # crash poisons the pool before the second submit: every cell
+        # still records its pool attempt (write-ahead, before submit),
+        # then the failure, then the serial attempt.
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RefusingPool)
+        runner = _runner(tmp_path)
+        runner.prefetch(CELLS)
+        runner.close_journal()
+        assert len(runner.failures.degraded) == len(CELLS)
+        assert runner.failures.worker_crashes == 1
+        records = read_journal(tmp_path / "run.jnl")
+        for cell in CELLS:
+            history = [
+                (record["event"], record.get("mode") or record.get("reason"))
+                for record in records
+                if record.get("cell") == list(cell)
+                and record["event"] != "planned"
+            ]
+            assert history == [
+                ("dispatched", "pool"),
+                ("failed", "pool-broken"),
+                ("dispatched", "serial"),
+                ("completed", None),
+            ], cell
+        replay = JournalReplay.from_path(tmp_path / "run.jnl")
+        assert replay.balanced()
+        assert all(count == 2 for count in replay.attempts.values())
+
+
+class _RefusingPool:
+    """A process pool whose first worker dies at once: its task fails
+    with BrokenProcessPool and every later submit is refused."""
+
+    def __init__(self, max_workers=None):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits > 1:
+            raise BrokenProcessPool("a worker died before this submit")
+        future = Future()
+        future.set_exception(BrokenProcessPool("the worker died"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class TestDeadlineRetryExhaustion:
