@@ -98,7 +98,7 @@ def time_driver_sequence() -> float:
 def check_recovery_hooks_dormant() -> None:
     """A fault-free machine must not pay for the recovery subsystem: no
     RecoveryManager is constructed, the network neither stamps CRCs nor
-    adjudicates deliveries, and the stall fast-forward stays armed.  The
+    adjudicates deliveries, and event-driven scheduling stays armed.  The
     timed runs below then measure the dormant-hook fast path for real."""
     from repro.arch import mesh
     from repro.compiler import VoltronCompiler
@@ -111,7 +111,7 @@ def check_recovery_hooks_dormant() -> None:
     machine = VoltronMachine(compiled, config)
     assert machine.recovery is None, "RecoveryManager built without faults"
     assert machine.network.recovery is None, "network armed without faults"
-    assert machine.fast_forward, "fast-forward lost without faults"
+    assert machine.fast_forward, "event-driven scheduling lost without faults"
     print("recovery hooks  : dormant on the fault-free path (asserted)")
 
 

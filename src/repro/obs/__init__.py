@@ -5,10 +5,10 @@ the Voltron simulator.  An :class:`Observability` instance is the event
 bus: pass one to ``VoltronMachine(..., obs=...)`` (or through
 ``repro.api.run_cell(..., obs=...)``) and the machine wires typed probes
 into every subsystem with something worth watching -- mode switches,
-stall attribution, fast-forward windows, operand-network traffic, cache
+stall attribution, clock-jump windows, operand-network traffic, cache
 misses, transactions, and fault injections.  With no observer attached
 every hook is a single ``is None`` check, so performance runs and the
-fast-forward differential suite are untouched.
+scheduling-kernel differential suite are untouched.
 
 On top of the bus:
 
@@ -20,7 +20,7 @@ On top of the bus:
   ``repro.api.run_cell`` profiling run);
 * :func:`perfetto_trace` / :func:`write_trace` -- a Chrome-trace-event /
   Perfetto JSON export: one track per core, a machine track for mode
-  residency and fast-forward windows, async spans for transactions and
+  residency and clock-jump windows, async spans for transactions and
   operand-network messages, and counter tracks from the series.
 """
 

@@ -11,7 +11,8 @@ Design constraints (in priority order):
    disabled path pays nothing at all.
 2. **Reconciles exactly.**  Stall spans are recorded by intercepting the
    very ``CoreStats.stall`` calls that build ``MachineStats`` -- both the
-   per-cycle attributions and the fast-forward bulk credits -- so the
+   per-cycle attributions and the bulk credits for sleeping cores and
+   clock jumps, each stamped at the first cycle it covers -- so the
    timeline totals equal the aggregate stats *by construction*, and
    :func:`repro.obs.timeline.reconcile` asserts it per run.
 3. **Bounded memory.**  Discrete event lists (transactions, messages,
@@ -40,9 +41,10 @@ class ObsConfig:
 
     ``sample_stride`` is the metrics-series sampling period in cycles;
     ``max_events`` bounds the discrete event lists (spans are run-length
-    merged and exempt); ``single_step`` forces the reference per-cycle
-    kernel so every cycle is individually visible in the series (stats
-    are bit-identical either way -- the differential suite's guarantee).
+    merged and exempt); ``single_step`` steps every core on every cycle
+    so every cycle is individually visible in the series (stats and
+    stall spans are bit-identical either way -- the differential suite's
+    guarantee).
     """
 
     sample_stride: int = 64
@@ -147,7 +149,8 @@ class Observability:
         #: Closed mode-residency segments: (start, end, mode), end exclusive.
         self.mode_segments: List[Tuple[int, int, str]] = []
         self._mode_open: Tuple[int, str] = (0, "coupled")
-        #: Fast-forwarded stall windows: (start, end), end exclusive.
+        #: Clock jumps over cycles with no core due: (start, end), end
+        #: exclusive (exported as the Perfetto "fast-forward" track).
         self.ff_windows: List[Tuple[int, int]] = []
         self.tx_events: List[TxEvent] = []
         self.net_sends: List[NetSend] = []
@@ -193,7 +196,7 @@ class Observability:
     def _hook_stall(self, core_id: int, stats: CoreStats) -> None:
         """Swap a recording wrapper onto this instance's ``stall`` method.
         Catches every attribution path -- per-cycle stepping *and* the
-        fast-forward bulk credits -- and run-length merges contiguous
+        bulk credits -- and run-length merges contiguous
         same-category cycles into spans."""
         original = stats.stall
         spans = self.stall_spans[core_id]
@@ -223,7 +226,7 @@ class Observability:
 
     def cycle(self, cycle: int) -> None:
         """Per-cycle hook from the machine's run loop (stepped cycles
-        only; fast-forwarded windows arrive via :meth:`fast_forward_window`)."""
+        only; clock jumps arrive via :meth:`fast_forward_window`)."""
         if cycle % self.config.sample_stride == 0:
             self.series.sample(self.machine, cycle)
 
@@ -235,7 +238,7 @@ class Observability:
         self._mode_open = (cycle, new)
 
     def fast_forward_window(self, start: int, end: int) -> None:
-        """The clock jumped from ``start`` to ``end`` over a provable stall."""
+        """The clock jumped from ``start`` to ``end``: no core was due."""
         self._append(self.ff_windows, (start, end))
 
     def tx_begin(self, core: int, region: int, order: int) -> None:

@@ -7,7 +7,7 @@ instance into the Trace Event Format dict Perfetto (ui.perfetto.dev) and
 * one *thread* track per core (tid = core + 1) carrying its stall spans
   as complete ("X") events and its cache misses as instants;
 * a *machine* track (tid 0) carrying mode-residency segments and
-  fast-forwarded stall windows;
+  "fast-forward" windows, where the clock jumped because no core was due;
 * async ("b"/"e") spans for transactions (begin -> commit/abort) and
   operand-network messages (send -> receive), each with a stable id;
 * counter ("C") tracks sampled from the metrics series (queue occupancy,

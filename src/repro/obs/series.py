@@ -12,10 +12,13 @@ Cumulative counters (``busy``, ``stalls``) sample the same accumulators
 the last sample of each cumulative column always equals the final
 aggregate -- differencing adjacent samples yields per-window rates.
 
-Stall windows the fast-forward kernel skips produce no samples (nothing
-is stepped); the skipped ranges are recorded as fast-forward window
-events on the :class:`~repro.obs.events.Observability` bus, and the
-``cycle`` column makes the gaps explicit.
+Cycles the clock jumps over because no core is due produce no samples
+(nothing is stepped); the skipped ranges are recorded as
+``fast_forward_window`` events on the
+:class:`~repro.obs.events.Observability` bus, and the ``cycle`` column
+makes the gaps explicit.  Before each sample the machine settles the
+bulk credits owed to sleeping cores, so cumulative columns are exact at
+every sampled cycle.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ involved).  Injection sites:
   progress guarantee survives any rate, including 1.0;
 * **transient stall-bus assertions** -- a coupled group is held for a
   few cycles as if a member were blocked
-  (:meth:`repro.sim.machine.VoltronMachine._step_group`);
+  (:meth:`repro.sim.machine.VoltronMachine._step_coupled`);
 * **directory-latency inflation** -- a directory transaction (miss or
   upgrade indirection) occasionally waits extra cycles at the home node
   (:meth:`repro.sim.caches.DirectoryCoherence.access`); a no-op on the
@@ -189,9 +189,9 @@ class FaultPlan:
     """A deterministic fault schedule, consumed site by site as the
     machine runs.  Attach one via ``VoltronMachine(..., faults=plan)``;
     the machine wires it into the bus, the instruction caches, the
-    operand network, and the TM, and falls back to the single-step
-    kernel (fault arrivals are per-cycle events the stall fast-forward
-    classifier cannot see)."""
+    operand network, and the TM, and steps every core on every cycle
+    (fault arrivals are per-cycle draws, so no core may sleep and the
+    clock never jumps)."""
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
