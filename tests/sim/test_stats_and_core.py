@@ -97,6 +97,22 @@ class TestCoreState:
         assert core.needs_fetch()
         assert core.position() == ("main", "next", 0)
 
+    def test_take_fetch_skips_sequential_slots_within_a_line(self):
+        # Base address 6 with 4-word lines: slots 0-1 share line 1,
+        # slot 2 (address 8) starts line 2.
+        core, cf = _core_with_block([make_op(Opcode.NOP)] * 4)
+        cf.block("entry").base_addr = 6
+        assert core.take_fetch(4) == 6  # first fetch always probes
+        assert core.take_fetch(4) is None  # already fetched
+        core.advance_slot()
+        assert core.take_fetch(4) is None  # address 7: same line
+        core.advance_slot()
+        assert core.take_fetch(4) == 8  # crosses into a new line
+        core.jump("entry")
+        assert core.take_fetch(4) == 6  # a jump always probes
+        core.advance_slot()
+        assert core.take_fetch() == 7  # without a line size: every slot
+
     def test_scoreboard_gates_sources(self):
         core, _ = _core_with_block([make_op(Opcode.NOP)])
         r = Reg(RegFile.GPR, 0)
