@@ -153,6 +153,9 @@ class L1ICache:
         self.array = SetAssocCache(config)
         self.config = config
         self.line_words = config.line_words
+        #: Probes that hit.  The simulator skips the probe of a fetch
+        #: within the line its core fetched last (it cannot change LRU
+        #: order), so unlike ``misses`` this undercounts I-fetch hits.
         self.hits = 0
         self.misses = 0
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):

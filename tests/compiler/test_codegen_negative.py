@@ -31,7 +31,7 @@ class TestGuards:
         small.run()
         config = mesh(8)
         large = VoltronMachine(compiler.compile("hybrid", config), config)
-        assert large.coupled_ensembles == [large.cores]
+        assert large._running == large.cores
         large.run()
         assert large.final_memory() == small.final_memory()
 

@@ -101,7 +101,7 @@ class TestGroupLimit:
         small.run()
         config = mesh(8)
         large = VoltronMachine(compiler.compile("hybrid", config), config)
-        assert large.coupled_ensembles == [large.cores]
+        assert large._running == large.cores
         large.run()
         assert large.final_memory() == small.final_memory()
 
