@@ -7,6 +7,7 @@ simulates nothing.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,10 @@ from repro.harness.sweep import (
 from repro.workloads.generator import GenKnobs, make_handle
 
 TINY = GenKnobs(regions=(1, 2), trips=(8, 16))
+
+#: ``points`` and ``frontiers`` of the three-axis sweep below, generated
+#: when every machine point still ran on its own runner.
+GOLDEN = Path(__file__).parent / "golden" / "sweep_three_axes.json"
 
 
 def _point(speedup, strategy="hybrid", **machine):
@@ -152,6 +157,10 @@ class TestRunSweep:
         assert all(v > 0 for v in point["speedups"].values())
         assert point["geomean_speedup"] > 0
         assert document["cache"]["misses"] > 0
+        assert json.loads(GOLDEN.read_text()) == {
+            "points": document["points"],
+            "frontiers": document["frontiers"],
+        }
 
         # The machine axes genuinely reach the simulator: a 4x deeper
         # queue or 4x slower memory must not leave every cycle count
