@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..arch.config import mesh, single_core
+from ..arch.config import mesh
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..isa.program import Program
@@ -94,7 +94,7 @@ def check_program(
     compiler = VoltronCompiler(program)
     checked_static = 0
     for cores, strategy in static_cells:
-        config = single_core() if cores == 1 else mesh(cores)
+        config = mesh(cores)
         compiled = compiler.compile(strategy, config)
         if mutate is not None:
             mutate(compiled)
@@ -118,7 +118,7 @@ def check_program(
     }
     checked_dynamic = 0
     for cores, strategy in dynamic_cells:
-        config = single_core() if cores == 1 else mesh(cores)
+        config = mesh(cores)
         compiled = compiler.compile(strategy, config)
         if mutate is not None:
             mutate(compiled)

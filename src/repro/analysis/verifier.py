@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..arch.config import MachineConfig, mesh, single_core
+from ..arch.config import MachineConfig, mesh
 from ..arch.mesh import Mesh, opposite
 from ..compiler.dependence import (
     ConstantTracker,
@@ -128,9 +128,7 @@ class ProgramVerifier:
         suppressions: Sequence[str] = (),
     ) -> None:
         if config is None:
-            config = (
-                single_core() if compiled.n_cores == 1 else mesh(compiled.n_cores)
-            )
+            config = mesh(compiled.n_cores)
         self.compiled = compiled
         self.program = compiled.program
         self.n_cores = compiled.n_cores

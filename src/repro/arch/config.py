@@ -282,25 +282,19 @@ def resolve_machine(machine: MachineSpec) -> MachineConfig:
     )
 
 
-def machine_overrides(
-    config: MachineConfig, *, include_shape: bool = True
-) -> Dict[str, object]:
-    """Flat override mapping reducing ``config`` to (n_cores, diffs).
+def machine_overrides(config: MachineConfig) -> Dict[str, object]:
+    """Flat override mapping of ``config``'s machine knobs.
 
     The diffs are relative to the standard :func:`mesh` preset for the
     config's core count, in exactly the shape :func:`apply_overrides`
-    accepts -- so any machine spec can ride the existing
-    ``config_overrides`` plumbing (runners, workers, cache keys).  With
-    ``include_shape=False`` the mesh shape is left to the per-core-count
-    default, for drivers that re-derive machines at several core counts
-    (figure grids) from one override set.
+    accepts.  Core count and mesh shape are left out: drivers that
+    re-derive machines at several core counts (figure grids, sessions)
+    apply one override set to each count's default shape.
     """
     base = mesh(config.n_cores)
     overrides: Dict[str, object] = {}
     for spec in fields(MachineConfig):
-        if spec.name in ("n_cores", "network"):
-            continue
-        if not include_shape and spec.name == "mesh_shape":
+        if spec.name in ("n_cores", "mesh_shape", "network"):
             continue
         value = getattr(config, spec.name)
         if value != getattr(base, spec.name):

@@ -21,8 +21,8 @@ generated-workload handles (``gen:<seed>[:<knobs-hash>]``, see
 ``--machine SPEC`` is the canonical machine spelling everywhere: an
 integer core count (any size -- primes get a near-square mesh with
 holes) or a preset name from ``repro.list_presets()`` such as
-``four``, ``mesh16``, or ``mesh32-directory``.  The older ``--cores``
-flags remain as aliases where they existed.
+``four``, ``mesh16``, or ``mesh32-directory``; ``sweep`` takes several
+as ``--machines``.
 
 ``sweep`` crosses machine-design axes (mesh size, coherence protocol,
 operand-queue policy and depth, queue-mode hop latency, memory latency,
@@ -35,7 +35,7 @@ artifact.
 Simulation results are cached on disk (``.repro-cache/`` by default, keyed
 by a content hash of program + config + seed) so a repeated figure run is
 nearly free; pass ``--no-cache`` to force fresh simulations.  ``--jobs N``
-fans independent (benchmark, cores, strategy) cells out over N worker
+fans independent (benchmark, machine, strategy) cells out over N worker
 processes; ``--cell-timeout`` bounds each cell's wall-clock time on the
 pool (overdue or crashed cells are retried, then re-run serially);
 ``--heartbeat-timeout`` additionally reaps workers that go silent.
@@ -125,17 +125,10 @@ def _add_machine_option(subparser: argparse.ArgumentParser, help_tail="") -> Non
 
 
 def _resolve_machine_flag(args, out) -> Optional[MachineConfig]:
-    """Resolve --machine/--cores to a MachineConfig, or None on error
-    (already reported).  --cores stays as a legacy alias; passing both
-    is an error."""
-    machine = getattr(args, "machine", None)
-    cores = getattr(args, "cores", None)
-    if machine is not None and cores is not None:
-        print("pass either --machine or --cores, not both", file=out)
-        return None
-    spec = machine if machine is not None else (cores or 4)
+    """Resolve --machine (default 4 cores) to a MachineConfig, or None
+    on error (already reported)."""
     try:
-        return resolve_machine(spec)
+        return resolve_machine(4 if args.machine is None else args.machine)
     except (TypeError, ValueError) as error:
         print(f"bad --machine spec: {error}", file=out)
         return None
@@ -286,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_machine_option(run, help_tail=" (default: 4 cores)")
     run.add_argument(
-        "--cores",
-        type=int,
-        default=None,
-        metavar="N",
-        help="legacy alias for --machine N",
-    )
-    run.add_argument(
         "--strategy",
         default="hybrid",
         choices=("baseline", "ilp", "tlp", "llp", "hybrid"),
@@ -392,14 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine specs spanning the mesh-size axis: core counts "
         "and/or preset names (default 2 4); coherence-variant presets "
         "seed the coherence axis unless --coherences pins it",
-    )
-    sweep.add_argument(
-        "--cores",
-        nargs="*",
-        type=int,
-        default=None,
-        metavar="N",
-        help="legacy alias for --machines",
     )
     sweep.add_argument(
         "--coherences",
@@ -646,15 +624,11 @@ def _cmd_sweep(args, out) -> int:
         return 2
     if not _check_workloads(workloads, out):
         return 2
-    if args.machines is not None and args.cores is not None:
-        print("pass either --machines or --cores, not both", file=out)
-        return 2
-    machines = args.machines if args.machines is not None else args.cores
     try:
         document = api.sweep(
             workloads,
             strategies=args.strategies,
-            machines=machines,
+            machines=args.machines,
             coherences=args.coherences,
             queue_policies=args.queue_policies,
             queue_depths=args.queue_depths,
@@ -836,12 +810,7 @@ def _verify_grid(args, machine=None) -> List[tuple]:
 
 def _cmd_verify(args, out) -> int:
     from ..analysis import merge_reports, verify_compiled
-    from ..arch.config import (
-        apply_overrides,
-        machine_overrides,
-        mesh,
-        single_core,
-    )
+    from ..arch.config import apply_overrides, machine_overrides, mesh
     from ..compiler.driver import VoltronCompiler
     from ..workloads.suite import build
 
@@ -855,9 +824,7 @@ def _cmd_verify(args, out) -> int:
         except (TypeError, ValueError) as error:
             print(f"bad --machine spec: {error}", file=out)
             return 2
-    overrides = (
-        machine_overrides(machine, include_shape=False) if machine else {}
-    )
+    overrides = machine_overrides(machine) if machine else {}
     grid = _verify_grid(args, machine)
     reports = []
     failed = 0
@@ -867,8 +834,7 @@ def _cmd_verify(args, out) -> int:
         # shared by every cell.
         compiler = VoltronCompiler(bench.program)
         for cores, strategy in grid:
-            config = single_core() if cores == 1 else mesh(cores)
-            config = apply_overrides(config, overrides)
+            config = apply_overrides(mesh(cores), overrides)
             compiled = compiler.compile(strategy, config)
             report = verify_compiled(compiled, config, args.suppress)
             report.benchmark = name

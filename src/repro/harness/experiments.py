@@ -2,17 +2,19 @@
 
 Every simulation is functionally checked against the reference
 interpreter (a run with wrong output arrays is a harness failure, not a
-data point).  Results are memoized per (benchmark, cores, strategy) so
-the figure drivers can share runs.
+data point).  Results are memoized per (benchmark, machine, strategy)
+cell so the figure drivers can share runs.  A cell's machine is a
+:class:`~repro.arch.config.MachineConfig`, resolved once where the cell
+is formed: a core count becomes :meth:`ExperimentRunner.machine_config`.
 
 Two optional layers speed up suite-scale experiments:
 
 * ``cache_dir`` enables the on-disk :class:`~repro.harness.cache.ResultCache`
   (content-hash keyed, stable across processes), so repeated figure runs
   re-simulate only what changed;
-* ``jobs > 1`` fans independent (benchmark, cores, strategy) cells out to
-  a ``ProcessPoolExecutor``; every figure driver prefetches its cell list
-  through the pool before assembling the table.
+* ``jobs > 1`` fans independent cells out to a ``ProcessPoolExecutor``;
+  every figure driver prefetches its cell list through the pool before
+  assembling the table.
 
 The parallel path is hardened against a hostile environment: every worker
 task carries a wall-clock deadline (``cell_timeout`` per cell), overdue
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..arch.config import MachineConfig, apply_overrides, mesh, single_core
+from ..arch.config import MachineConfig, apply_overrides, mesh
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..isa.registers import Value
@@ -60,8 +62,12 @@ from .journal import JournalReplay, RunJournal
 #: Strategies evaluated per figure.
 SINGLE_STRATEGIES = ("ilp", "tlp", "llp")
 
-#: One simulation cell: (benchmark, n_cores, strategy).
-Cell = Tuple[str, int, str]
+#: One simulation cell: (benchmark, machine, strategy).
+Cell = Tuple[str, MachineConfig, str]
+
+#: A cell's machine as callers spell it: a core count (resolved through
+#: :meth:`ExperimentRunner.machine_config`) or a full config.
+Machine = Union[int, MachineConfig]
 
 #: Result-schema version carried by every serialized RunResult.  The
 #: major is a compatibility contract: ``from_dict`` rejects payloads
@@ -124,10 +130,6 @@ class RunResult:
         )
 
 
-def _config_for(n_cores: int) -> MachineConfig:
-    return single_core() if n_cores == 1 else mesh(n_cores)
-
-
 @dataclass
 class FailureSummary:
     """What went wrong (and was absorbed) during a hardened prefetch.
@@ -146,10 +148,10 @@ class FailureSummary:
     #: Cells given up on entirely (every pool round *and* the serial
     #: fallback failed); the journal records them as ``abandoned``.
     abandoned: List[str] = field(default_factory=list)
-    #: Cell label -> how many attempts (pool dispatches + serial runs)
-    #: it took.  A clean run leaves every count at 1; the count is
+    #: Cell -> how many attempts (pool dispatches + serial runs) it
+    #: took.  A clean run leaves every count at 1; the count is
     #: bookkeeping, not a failure, so ``any()`` ignores it.
-    attempts: Dict[str, int] = field(default_factory=dict)
+    attempts: Dict[Cell, int] = field(default_factory=dict)
 
     def any(self) -> bool:
         return bool(
@@ -166,8 +168,15 @@ class FailureSummary:
         return max(self.attempts.values(), default=0)
 
 
-def _cell_label(name: str, n_cores: int, strategy: str) -> str:
-    return f"{name}[{n_cores}-{strategy}]"
+def _journal_cell(cell: Cell) -> Tuple[str, int, str]:
+    """How journal records name a cell: its machine by core count (the
+    content-hash key tells machines with the same count apart)."""
+    name, config, strategy = cell
+    return (name, config.n_cores, strategy)
+
+
+def _cell_label(cell: Cell) -> str:
+    return "{}[{}-{}]".format(*_journal_cell(cell))
 
 
 def _heartbeat_path(hb_dir: Union[str, Path], name: str) -> Path:
@@ -191,26 +200,39 @@ def _read_heartbeat(path: Path) -> Optional[float]:
         return None  # absent or torn mid-write: no verdict either way
 
 
-def _run_cells_worker(spec: Tuple) -> List[Dict[str, object]]:
-    """Pool worker: simulate one benchmark's cells in a fresh runner and
-    hand the results back as plain dicts (JSON-safe, cheap to pickle).
+@dataclass(frozen=True)
+class WorkerTask:
+    """One pool task: a benchmark's cells, each carrying its machine.
     The fan-out unit is a benchmark, not a cell, so the build, the
-    compiler, and the reference-interpreter run are paid once per worker
-    task instead of once per (cores, strategy) point.  Top-level so
-    ProcessPoolExecutor can address it by qualified name.
+    compiler, and the reference-interpreter run are paid once per task
+    instead of once per (machine, strategy) point."""
 
-    When the spec carries a heartbeat assignment (``spec[7]``: a
-    ``(dir, interval)`` pair), a daemon thread touches this task's
+    name: str
+    cells: Tuple[Tuple[MachineConfig, str], ...]
+    seed: int
+    max_cycles: int
+    cache_dir: Optional[str]
+    faults: Optional[FaultConfig]
+    #: ``(dir, interval)`` heartbeat assignment, or None unsupervised.
+    heartbeat: Optional[Tuple[str, float]]
+
+    def runner_cells(self) -> List[Cell]:
+        return [(self.name, config, strategy) for config, strategy in self.cells]
+
+
+def _run_cells_worker(task: WorkerTask) -> List[Dict[str, object]]:
+    """Pool worker: simulate one task's cells in a fresh runner and hand
+    the results back as plain dicts (JSON-safe, cheap to pickle).
+    Top-level so ProcessPoolExecutor can address it by qualified name.
+
+    With a heartbeat assignment, a daemon thread touches this task's
     heartbeat file every ``interval`` seconds for as long as the task
     runs, so the driver's supervisor can tell a slow-but-alive worker
     from a hung or frozen one without waiting out the full deadline."""
-    name, cells, seed, max_cycles, cache_dir, fault_config = spec[:6]
-    config_overrides = spec[6] if len(spec) > 6 else None
-    heartbeat = spec[7] if len(spec) > 7 else None
     stop = None
-    if heartbeat is not None:
-        hb_dir, interval = heartbeat
-        hb_file = _heartbeat_path(hb_dir, name)
+    if task.heartbeat is not None:
+        hb_dir, interval = task.heartbeat
+        hb_file = _heartbeat_path(hb_dir, task.name)
         stop = threading.Event()
 
         def _beat() -> None:
@@ -221,16 +243,15 @@ def _run_cells_worker(spec: Tuple) -> List[Dict[str, object]]:
         threading.Thread(target=_beat, daemon=True).start()
     try:
         runner = ExperimentRunner(
-            benchmarks=[name],
-            seed=seed,
-            max_cycles=max_cycles,
-            cache_dir=cache_dir,
-            faults=fault_config,
-            config_overrides=config_overrides,
+            benchmarks=[task.name],
+            seed=task.seed,
+            max_cycles=task.max_cycles,
+            cache_dir=task.cache_dir,
+            faults=task.faults,
         )
         return [
-            runner.run(name, n_cores, strategy).to_dict()
-            for n_cores, strategy in cells
+            runner.run(task.name, config, strategy).to_dict()
+            for config, strategy in task.cells
         ]
     finally:
         if stop is not None:
@@ -255,7 +276,6 @@ class ExperimentRunner:
         config_overrides: Optional[Dict[str, object]] = None,
         journal: Optional[Union[str, Path, RunJournal]] = None,
         resume: bool = False,
-        replay: Optional[JournalReplay] = None,
         heartbeat_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.2,
         backoff_seed: Optional[int] = None,
@@ -306,9 +326,11 @@ class ExperimentRunner:
         self.max_abandoned = max(0, max_abandoned)
         #: Flat machine-config overrides (queue depth, hop latency, TM
         #: commit cost, ...) applied on top of the per-core-count default
-        #: shape; the sweep driver explores the design space through
-        #: this.  Folded into every cache key via the config's repr.
+        #: shape of every cell named by core count.  Folded into every
+        #: cache key via the config's repr.
         self.config_overrides = dict(config_overrides) if config_overrides else None
+        #: Core count -> its resolved machine (see :meth:`machine_config`).
+        self._machines: Dict[int, MachineConfig] = {}
         #: Observability bus for the next simulated cell (single-use: the
         #: first uncached simulation consumes it).
         self.obs = obs
@@ -317,14 +339,13 @@ class ExperimentRunner:
         self.failures = FailureSummary()
         self.cache = ResultCache(Path(cache_dir)) if cache_dir else None
         self._cache_dir = str(cache_dir) if cache_dir else None
-        #: Replay state from a prior (interrupted) journal: loaded from
-        #: the journal path under ``resume=True``, or injected directly
-        #: (the sweep driver shares one replay across its runners).
-        self._replay = replay
+        #: Replay state from a prior (interrupted) journal, loaded from
+        #: the journal path under ``resume=True``.
+        self._replay: Optional[JournalReplay] = None
         self._owns_journal = False
         if journal is not None and not isinstance(journal, RunJournal):
             journal_path = Path(journal)
-            if resume and self._replay is None and journal_path.exists():
+            if resume and journal_path.exists():
                 self._replay = JournalReplay.from_path(journal_path)
             journal = RunJournal(
                 journal_path, resume=resume and journal_path.exists()
@@ -362,7 +383,16 @@ class ExperimentRunner:
     def machine_config(self, n_cores: int) -> MachineConfig:
         """The machine shape simulated for ``n_cores``: the standard
         mesh preset with this runner's overrides applied on top."""
-        return apply_overrides(_config_for(n_cores), self.config_overrides)
+        config = self._machines.get(n_cores)
+        if config is None:
+            config = apply_overrides(mesh(n_cores), self.config_overrides)
+            self._machines[n_cores] = config
+        return config
+
+    def _cell(self, name: str, machine: Machine, strategy: str) -> Cell:
+        if not isinstance(machine, MachineConfig):
+            machine = self.machine_config(machine)
+        return (name, machine, strategy)
 
     def compiler(self, name: str) -> VoltronCompiler:
         if name not in self._compilers:
@@ -387,13 +417,13 @@ class ExperimentRunner:
                 self.cache.store(key, {"arrays": self._references[name]})
         return self._references[name]
 
-    def _cell_key(self, name: str, n_cores: int, strategy: str) -> str:
-        cell = (name, n_cores, strategy)
+    def _cell_key(self, name: str, machine: Machine, strategy: str) -> str:
+        cell = self._cell(name, machine, strategy)
         key = self._keys.get(cell)
         if key is None:
             key = cache_key(
                 self.benchmark(name).program,
-                self.machine_config(n_cores),
+                cell[1],
                 self.seed,
                 strategy,
                 self.max_cycles,
@@ -408,15 +438,16 @@ class ExperimentRunner:
             self._keys[cell] = key
         return key
 
-    def _fault_plan(self, name: str, n_cores: int, strategy: str) -> Optional[FaultPlan]:
+    def _fault_plan(self, cell: Cell) -> Optional[FaultPlan]:
         """A fresh, deterministic plan for one cell: plans are stateful
         (countdowns advance as they fire), so each simulation needs its
         own, and the seed is decorrelated per cell so every cell sees a
         different arrival pattern while staying reproducible."""
         if self.fault_config is None:
             return None
+        name, config, strategy = cell
         digest = hashlib.sha256(
-            f"{self.fault_config.seed}:{name}:{n_cores}:{strategy}".encode()
+            f"{self.fault_config.seed}:{name}:{config.n_cores}:{strategy}".encode()
         ).digest()
         cell_seed = int.from_bytes(digest[:4], "big")
         return FaultPlan(replace(self.fault_config, seed=cell_seed))
@@ -443,21 +474,22 @@ class ExperimentRunner:
         still needs dispatching is a *re-run*."""
         if self.journal is None and self._replay is None:
             return
-        marker = key or _cell_label(*cell)
+        marker = key or _cell_label(cell)
         if marker in self._planned_keys:
             return
         self._planned_keys.add(marker)
         if self._replay is not None and self._replay.state(marker) is not None:
             self.journal_stats["rerun"] += 1
         if self.journal is not None:
-            self.journal.planned(cell, key)
+            self.journal.planned(_journal_cell(cell), key)
 
     def _note_dispatched(self, cell: Cell, key: Optional[str], mode: str) -> None:
-        label = _cell_label(*cell)
-        attempt = self.failures.attempts.get(label, 0) + 1
-        self.failures.attempts[label] = attempt
+        attempt = self.failures.attempts.get(cell, 0) + 1
+        self.failures.attempts[cell] = attempt
         if self.journal is not None:
-            self.journal.dispatched(cell, key, attempt=attempt, mode=mode)
+            self.journal.dispatched(
+                _journal_cell(cell), key, attempt=attempt, mode=mode
+            )
 
     def _note_completed(self, cell: Cell, key: Optional[str], source: str) -> None:
         """Record durable completion -- called strictly *after* the
@@ -465,32 +497,35 @@ class ExperimentRunner:
         ``completed`` record always implies a recoverable result."""
         if self.journal is not None:
             self.journal.completed(
-                cell, key, source=source,
-                attempt=self.failures.attempts.get(_cell_label(*cell), 0),
+                _journal_cell(cell), key, source=source,
+                attempt=self.failures.attempts.get(cell, 0),
             )
 
     def _note_failed(self, cell: Cell, reason: str) -> None:
         if self.journal is not None:
             self.journal.failed(
-                cell, self._journal_key(cell), reason=reason,
-                attempt=self.failures.attempts.get(_cell_label(*cell), 0),
+                _journal_cell(cell), self._journal_key(cell), reason=reason,
+                attempt=self.failures.attempts.get(cell, 0),
             )
 
     def _abandon(self, cell: Cell, error: Exception) -> None:
         """Terminal escalation: journal the cell as ``abandoned`` (the
         journal must account for every planned cell) and tally it."""
-        self.failures.abandoned.append(_cell_label(*cell))
+        self.failures.abandoned.append(_cell_label(cell))
         self.journal_stats["abandoned"] += 1
         if self.journal is not None:
             self.journal.abandoned(
-                cell, self._journal_key(cell),
+                _journal_cell(cell), self._journal_key(cell),
                 reason=f"{type(error).__name__}: {error}",
             )
 
-    def run(self, benchmark: str, cores: int, strategy: str) -> RunResult:
-        cell = (benchmark, cores, strategy)
-        if cell in self._runs:
-            return self._runs[cell]
+    def run(self, benchmark: str, cores: Machine, strategy: str) -> RunResult:
+        """One cell's result, from the memo, the cache or a simulation.
+        ``cores`` is a core count or a full :class:`MachineConfig`."""
+        cell = self._cell(benchmark, cores, strategy)
+        result = self._runs.get(cell)
+        if result is not None:
+            return result
         if self._resolve_cached([cell]):
             try:
                 self._run_uncached(cell)
@@ -499,11 +534,9 @@ class ExperimentRunner:
                 raise
         return self._runs[cell]
 
-    def _simulate(self, name: str, n_cores: int, strategy: str) -> RunResult:
-        bench = self.benchmark(name)
-        config = self.machine_config(n_cores)
+    def _simulate(self, name: str, config: MachineConfig, strategy: str) -> RunResult:
         compiled = self.compiler(name).compile(strategy, config)
-        plan = self._fault_plan(name, n_cores, strategy)
+        plan = self._fault_plan((name, config, strategy))
         obs, self.obs = self.obs, None  # single-use: first simulation wins
         machine = VoltronMachine(
             compiled, config, max_cycles=self.max_cycles, faults=plan, obs=obs
@@ -520,7 +553,7 @@ class ExperimentRunner:
             # Under fault injection this is the determinism invariant
             # breaking, not a data point -- fail loudly either way.
             raise AssertionError(
-                f"{name} [{n_cores}-core {strategy}] produced wrong output"
+                f"{name} [{config.n_cores}-core {strategy}] produced wrong output"
             )
         metrics: Optional[Dict[str, object]] = None
         if obs is not None:
@@ -532,7 +565,7 @@ class ExperimentRunner:
             metrics = obs.metrics()
         result = RunResult(
             benchmark=name,
-            n_cores=n_cores,
+            n_cores=config.n_cores,
             strategy=strategy,
             cycles=stats.cycles,
             stats=stats,
@@ -542,11 +575,11 @@ class ExperimentRunner:
         )
         return result
 
-    def prefetch(self, cells: Sequence[Cell]) -> None:
+    def prefetch(self, cells: Sequence[Tuple[str, Machine, str]]) -> None:
         """Populate the run memo for ``cells``, fanning cache misses out to
         a process pool when ``jobs > 1``.  Serial fallback otherwise -- the
         figure drivers call this unconditionally."""
-        pending = self._resolve_cached(cells)
+        pending = self._resolve_cached([self._cell(*cell) for cell in cells])
         if not pending:
             return
         if self.jobs == 1 or len({name for name, _, _ in pending}) == 1:
@@ -629,21 +662,20 @@ class ExperimentRunner:
                 self._hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
         return (self._hb_dir, self.heartbeat_interval)
 
-    def _specs_for(self, cells: Sequence[Cell]) -> List[Tuple]:
-        by_name: Dict[str, List[Tuple[int, str]]] = {}
-        for name, n_cores, strategy in cells:
-            by_name.setdefault(name, []).append((n_cores, strategy))
+    def _tasks_for(self, cells: Sequence[Cell]) -> List[WorkerTask]:
+        by_name: Dict[str, List[Tuple[MachineConfig, str]]] = {}
+        for name, config, strategy in cells:
+            by_name.setdefault(name, []).append((config, strategy))
         heartbeat = self._heartbeat_spec()
         return [
-            (
-                name,
-                name_cells,
-                self.seed,
-                self.max_cycles,
-                self._cache_dir,
-                self.fault_config,
-                self.config_overrides,
-                heartbeat,
+            WorkerTask(
+                name=name,
+                cells=tuple(name_cells),
+                seed=self.seed,
+                max_cycles=self.max_cycles,
+                cache_dir=self._cache_dir,
+                faults=self.fault_config,
+                heartbeat=heartbeat,
             )
             for name, name_cells in by_name.items()
         ]
@@ -669,19 +701,15 @@ class ExperimentRunner:
             if round_index:
                 time.sleep(self._backoff_delay(round_index))
                 self.failures.retried.extend(
-                    _cell_label(*cell) for cell in pending
+                    _cell_label(cell) for cell in pending
                 )
-            leftovers = self._pool_round(self._specs_for(pending))
+            leftovers = self._pool_round(self._tasks_for(pending))
             if not leftovers:
                 return
             # A timed-out worker may still have finished the store before
             # we stopped waiting; the cache probe rescues those cells.
             pending = self._resolve_cached(
-                [
-                    (name, n_cores, strategy)
-                    for name, name_cells, *_ in leftovers
-                    for n_cores, strategy in name_cells
-                ]
+                [cell for task in leftovers for cell in task.runner_cells()]
             )
             if not pending:
                 return
@@ -693,7 +721,7 @@ class ExperimentRunner:
         fails even here escalates to ``abandoned`` (bounded by
         ``max_abandoned``, so one poisoned cell cannot silently eat the
         whole grid -- but a chaos run can finish around it)."""
-        self.failures.degraded.append(_cell_label(*cell))
+        self.failures.degraded.append(_cell_label(cell))
         try:
             self._run_uncached(cell)
         except Exception as error:
@@ -701,22 +729,18 @@ class ExperimentRunner:
             if len(self.failures.abandoned) > self.max_abandoned:
                 raise
 
-    def _spec_cells(self, spec: Tuple) -> List[Cell]:
-        name = spec[0]
-        return [(name, n_cores, strategy) for n_cores, strategy in spec[1]]
-
-    def _fail_spec(self, spec: Tuple, reason: str) -> None:
-        for cell in self._spec_cells(spec):
+    def _fail_task(self, task: WorkerTask, reason: str) -> None:
+        for cell in task.runner_cells():
             self._note_failed(cell, reason)
 
-    def _note_pool_dispatch(self, spec: Tuple) -> None:
-        for cell in self._spec_cells(spec):
+    def _note_pool_dispatch(self, task: WorkerTask) -> None:
+        for cell in task.runner_cells():
             self._note_dispatched(cell, self._journal_key(cell), mode="pool")
 
-    def _pool_round(self, specs: List[Tuple]) -> List[Tuple]:
-        """One pool pass over ``specs``.  Returns the specs that blew
+    def _pool_round(self, tasks: List[WorkerTask]) -> List[WorkerTask]:
+        """One pool pass over ``tasks``.  Returns the tasks that blew
         their deadline or lost their heartbeat (for the caller to
-        retry).  A broken pool sends every unfinished spec straight to
+        retry).  A broken pool sends every unfinished task straight to
         the serial fallback -- the pool machinery itself is no longer
         trusted this round."""
         pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -724,44 +748,44 @@ class ExperimentRunner:
         supervising = self.heartbeat_timeout is not None
         futures = {}
         deadlines = {}
-        timed_out: List[Tuple] = []
+        timed_out: List[WorkerTask] = []
         broken = False
-        refused: List[Tuple] = []
-        for index, spec in enumerate(specs):
+        refused: List[WorkerTask] = []
+        for index, task in enumerate(tasks):
             if supervising and self._hb_dir is not None:
                 # A beat left over from an earlier round must not read
                 # as instantly stale for this round's worker.
                 try:
-                    _heartbeat_path(self._hb_dir, spec[0]).unlink()
+                    _heartbeat_path(self._hb_dir, task.name).unlink()
                 except OSError:
                     pass
             # Write-ahead: the pool attempt is journaled before it is
             # made, so a driver killed mid-submit never loses a dispatch.
-            self._note_pool_dispatch(spec)
+            self._note_pool_dispatch(task)
             try:
-                future = pool.submit(self._worker_fn, spec)
+                future = pool.submit(self._worker_fn, task)
             except BrokenProcessPool:
                 # A worker died while the round was still being fed (an
                 # instant crash can poison the pool between submits);
                 # nothing more can be submitted this round.
                 broken = True
                 self.failures.worker_crashes += 1
-                refused = specs[index:]
+                refused = tasks[index:]
                 break
-            futures[future] = spec
+            futures[future] = task
             if self.cell_timeout is not None:
                 deadlines[future] = started + self.cell_timeout * max(
-                    1, len(spec[1])
+                    1, len(task.cells)
                 )
         if broken:
-            # Every spec the broken pool refused still burns a journaled
-            # pool attempt before its serial one (the refusing spec was
+            # Every task the broken pool refused still burns a journaled
+            # pool attempt before its serial one (the refusing task was
             # journaled before its submit).
-            for spec in refused[1:]:
-                self._note_pool_dispatch(spec)
-            for spec in list(futures.values()) + refused:
-                self._fail_spec(spec, "pool-broken")
-                self._serial_fallback(spec)
+            for task in refused[1:]:
+                self._note_pool_dispatch(task)
+            for task in list(futures.values()) + refused:
+                self._fail_task(task, "pool-broken")
+                self._serial_fallback(task)
             futures.clear()
         try:
             while futures:
@@ -790,9 +814,9 @@ class ExperimentRunner:
                     for future in list(futures):
                         if future in done:
                             continue
-                        spec = futures[future]
+                        task = futures[future]
                         beat = _read_heartbeat(
-                            _heartbeat_path(self._hb_dir, spec[0])
+                            _heartbeat_path(self._hb_dir, task.name)
                         )
                         if (
                             beat is not None
@@ -800,9 +824,9 @@ class ExperimentRunner:
                         ):
                             futures.pop(future)
                             future.cancel()
-                            timed_out.append(spec)
-                            self.failures.timed_out.append(spec[0])
-                            self._fail_spec(spec, "heartbeat-lost")
+                            timed_out.append(task)
+                            self.failures.timed_out.append(task.name)
+                            self._fail_task(task, "heartbeat-lost")
                 if not done:
                     # Deadline expiry.  cancel() cannot interrupt a running
                     # worker process, so the task is abandoned: its future
@@ -810,16 +834,16 @@ class ExperimentRunner:
                     now = time.monotonic()
                     for future in list(futures):
                         if deadlines.get(future, now + 1) <= now:
-                            spec = futures.pop(future)
+                            task = futures.pop(future)
                             future.cancel()
-                            timed_out.append(spec)
-                            self.failures.timed_out.append(spec[0])
-                            self._fail_spec(spec, "timeout")
+                            timed_out.append(task)
+                            self.failures.timed_out.append(task.name)
+                            self._fail_task(task, "timeout")
                     continue
                 for future in done:
                     if future not in futures:
                         continue  # reaped by the supervisor this wake
-                    spec = futures.pop(future)
+                    task = futures.pop(future)
                     try:
                         payloads = future.result()
                     except BrokenProcessPool:
@@ -827,37 +851,35 @@ class ExperimentRunner:
                         # os._exit); every sibling future is now poisoned.
                         broken = True
                         self.failures.worker_crashes += 1
-                        self._fail_spec(spec, "worker-crashed")
-                        self._serial_fallback(spec)
-                        for other_spec in futures.values():
-                            self._fail_spec(other_spec, "pool-broken")
-                            self._serial_fallback(other_spec)
+                        self._fail_task(task, "worker-crashed")
+                        self._serial_fallback(task)
+                        for other in futures.values():
+                            self._fail_task(other, "pool-broken")
+                            self._serial_fallback(other)
                         futures.clear()
                         break
-                    self._absorb(spec, payloads)
+                    self._absorb(task, payloads)
         finally:
             pool.shutdown(wait=not timed_out and not broken, cancel_futures=True)
         return timed_out
 
-    def _absorb(self, spec: Tuple, payloads: List[Dict[str, object]]) -> None:
-        name = spec[0]
-        for (n_cores, strategy), payload in zip(spec[1], payloads):
-            cell = (name, n_cores, strategy)
+    def _absorb(self, task: WorkerTask, payloads: List[Dict[str, object]]) -> None:
+        for cell, payload in zip(task.runner_cells(), payloads):
             self._runs[cell] = RunResult.from_dict(payload)
             # The worker stored the result durably before returning it
             # (same content-hash key), so completion is safe to journal.
             self._note_completed(cell, self._journal_key(cell), source="worker")
 
-    def _serial_fallback(self, spec: Tuple) -> None:
-        """Run one spec's cells in-process after pool trouble (re-probing
+    def _serial_fallback(self, task: WorkerTask) -> None:
+        """Run one task's cells in-process after pool trouble (re-probing
         the cache first -- the worker may have finished some cells)."""
-        for cell in self._resolve_cached(self._spec_cells(spec)):
+        for cell in self._resolve_cached(task.runner_cells()):
             self._run_degraded(cell)
 
     def baseline(self, name: str) -> RunResult:
         return self.run(name, 1, "baseline")
 
-    def speedup(self, benchmark: str, cores: int, strategy: str) -> float:
+    def speedup(self, benchmark: str, cores: Machine, strategy: str) -> float:
         return (
             self.baseline(benchmark).cycles
             / self.run(benchmark, cores, strategy).cycles

@@ -5,11 +5,12 @@ explores the surrounding hardware design space.  A :class:`SweepSpec`
 crosses up to seven machine axes -- mesh size (core count), coherence
 protocol, operand-queue policy, operand-queue depth, queue-mode hop
 latency, memory latency, and the TM commit budget -- against any mix of
-named and generated workloads, runs every cell
-through the cached parallel :class:`~repro.harness.experiments.ExperimentRunner`
-(one runner per machine point, all sharing one content-hash result
-cache, so a re-sweep only simulates what changed), and reduces the
-results to per-strategy Pareto frontiers.
+named and generated workloads, runs every (workload, machine, strategy)
+cell through one cached parallel
+:class:`~repro.harness.experiments.ExperimentRunner` (each cell carries
+its machine config, so a re-sweep against the same content-hash result
+cache only simulates what changed), and reduces the results to
+per-strategy Pareto frontiers.
 
 Dominance is resource-aware rather than scalarized: machine point A
 dominates B for a strategy when A's geomean speedup is at least B's
@@ -33,8 +34,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..arch.config import apply_overrides, mesh
 from .experiments import ExperimentRunner, geomean
-from .journal import JournalReplay, RunJournal, flush_on_signals
+from .journal import flush_on_signals
 
 #: Artifact schema: bump the major on breaking layout changes.
 #: 1.1 added the categorical ``coherence``/``queue_policy`` machine axes.
@@ -186,9 +188,9 @@ def run_sweep(
 ) -> Dict[str, object]:
     """Execute the sweep and assemble the JSON-ready result document.
 
-    One :class:`ExperimentRunner` per distinct override combination (so
-    every core count at that point shares the runner's builds and the
-    1-core baseline), all pointed at the same ``cache_dir``.  Returns::
+    One :class:`ExperimentRunner` runs every cell in one prefetch: each
+    machine point's ``(workload, machine, strategy)`` cells plus its
+    1-core baseline, all against the same ``cache_dir``.  Returns::
 
         {
           "schema_version": ..., "spec": {...}, "axes": {...},
@@ -198,13 +200,13 @@ def run_sweep(
           "journal": {...},                      # only when journaling
         }
 
-    With ``journal=`` every runner writes through one shared write-ahead
-    :class:`RunJournal` (content-hash keys disambiguate cells across
-    machine points), SIGTERM/SIGINT flush it before exit, and
-    ``resume=True`` replays an interrupted journal against the result
-    cache so only cells without a durable ``completed`` record are
-    re-dispatched -- the resumed document is identical to an
-    uninterrupted sweep's modulo the ``cache``/``journal`` tallies.
+    With ``journal=`` every cell is write-ahead journaled (content-hash
+    keys disambiguate cells across machine points), SIGTERM/SIGINT
+    flush the journal before exit, and ``resume=True`` replays an
+    interrupted journal against the result cache so only cells without
+    a durable ``completed`` record are re-dispatched -- the resumed
+    document is identical to an uninterrupted sweep's modulo the
+    ``cache``/``journal`` tallies.
     """
     axes = spec.axes()
     override_combos = [
@@ -213,44 +215,37 @@ def run_sweep(
             *(axes[name] for name in _OVERRIDE_AXES)
         )
     ]
-    run_journal: Optional[RunJournal] = None
-    replay: Optional[JournalReplay] = None
-    if journal is not None:
-        journal_path = Path(journal)
-        if resume and journal_path.exists():
-            replay = JournalReplay.from_path(journal_path)
-        run_journal = RunJournal(
-            journal_path,
-            resume=resume and journal_path.exists(),
-            context={"driver": "sweep"},
-        )
+    # Each machine point's config at every core count it needs.
+    machines = [
+        {n: apply_overrides(mesh(n), overrides) for n in (1, *spec.cores)}
+        for overrides in override_combos
+    ]
+    cells = []
+    for configs in machines:
+        cells += [(name, configs[1], "baseline") for name in spec.workloads]
+        cells += [
+            (name, configs[n_cores], strategy)
+            for name in spec.workloads
+            for n_cores in spec.cores
+            for strategy in spec.strategies
+        ]
+    resumed = resume and journal is not None and Path(journal).exists()
+    runner = ExperimentRunner(
+        benchmarks=list(spec.workloads),
+        seed=seed,
+        max_cycles=max_cycles,
+        cache_dir=cache_dir,
+        jobs=jobs,
+        cell_timeout=cell_timeout,
+        journal=journal,
+        resume=resume,
+        heartbeat_timeout=heartbeat_timeout,
+    )
     points: List[SweepPoint] = []
-    cache_hits = cache_misses = 0
-    journal_stats = {"replayed": 0, "rerun": 0, "abandoned": 0}
     try:
-        with flush_on_signals(run_journal):
-            for overrides in override_combos:
-                runner = ExperimentRunner(
-                    benchmarks=list(spec.workloads),
-                    seed=seed,
-                    max_cycles=max_cycles,
-                    cache_dir=cache_dir,
-                    jobs=jobs,
-                    cell_timeout=cell_timeout,
-                    config_overrides=overrides,
-                    journal=run_journal,
-                    replay=replay,
-                    heartbeat_timeout=heartbeat_timeout,
-                )
-                runner.prefetch(
-                    [(name, 1, "baseline") for name in spec.workloads]
-                    + [
-                        (name, n_cores, strategy)
-                        for name in spec.workloads
-                        for n_cores in spec.cores
-                        for strategy in spec.strategies
-                    ]
-                )
+        with flush_on_signals(runner.journal):
+            runner.prefetch(cells)
+            for overrides, configs in zip(override_combos, machines):
                 for n_cores in spec.cores:
                     for strategy in spec.strategies:
                         point = SweepPoint(
@@ -258,23 +253,16 @@ def run_sweep(
                             strategy=strategy,
                         )
                         for name in spec.workloads:
-                            result = runner.run(name, n_cores, strategy)
+                            result = runner.run(name, configs[n_cores], strategy)
+                            base = runner.run(name, configs[1], "baseline")
                             point.cycles[name] = result.cycles
-                            point.speedups[name] = (
-                                runner.baseline(name).cycles / result.cycles
-                            )
+                            point.speedups[name] = base.cycles / result.cycles
                         point.geomean_speedup = geomean(
                             list(point.speedups.values())
                         )
                         points.append(point)
-                if runner.cache is not None:
-                    cache_hits += runner.cache.hits
-                    cache_misses += runner.cache.misses
-                for stat, value in runner.journal_stats.items():
-                    journal_stats[stat] += value
     finally:
-        if run_journal is not None:
-            run_journal.close()
+        runner.close_journal()
     frontiers = {
         strategy: [
             by_strategy[local]
@@ -294,13 +282,16 @@ def run_sweep(
         "varied_axes": spec.varied_axes(),
         "points": [point.to_dict() for point in points],
         "frontiers": frontiers,
-        "cache": {"hits": cache_hits, "misses": cache_misses},
+        "cache": {
+            "hits": runner.cache.hits if runner.cache else 0,
+            "misses": runner.cache.misses if runner.cache else 0,
+        },
     }
-    if run_journal is not None:
+    if runner.journal is not None:
         document["journal"] = {
-            "path": str(run_journal.path),
-            "resumed": bool(replay is not None),
-            **journal_stats,
+            "path": str(runner.journal.path),
+            "resumed": resumed,
+            **runner.journal_stats,
         }
     return document
 

@@ -124,12 +124,12 @@ class TestMachineOverrides:
         rebuilt = apply_overrides(mesh(32), machine_overrides(config))
         assert rebuilt == config
 
-    def test_include_shape_false_drops_mesh_shape(self):
+    def test_mesh_shape_is_never_in_the_overrides(self):
         import dataclasses
 
         odd = dataclasses.replace(mesh(16), mesh_shape=(2, 8))
-        assert "mesh_shape" in machine_overrides(odd)
-        assert "mesh_shape" not in machine_overrides(odd, include_shape=False)
+        assert "mesh_shape" not in machine_overrides(odd)
+        assert machine_overrides(odd) == {}
 
 
 class TestConfigValidation:

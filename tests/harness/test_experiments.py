@@ -30,23 +30,22 @@ BENCHES = ("rawcaudio", "gsmdecode")
 CELLS = [(name, 1, "baseline") for name in BENCHES]
 
 
-def _crash_worker(spec):
+def _crash_worker(task):
     os._exit(3)  # segfault/OOM stand-in: breaks the pool, no unwinding
 
 
-def _hang_worker(spec):
+def _hang_worker(task):
     time.sleep(3.0)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
-def _beat_then_hang_worker(spec):
+def _beat_then_hang_worker(task):
     # A worker that freezes mid-task: it heartbeats once (so the
     # supervisor knows it existed), then goes silent without exiting.
-    heartbeat = spec[7]
-    if heartbeat is not None:
-        _write_heartbeat(_heartbeat_path(heartbeat[0], spec[0]))
+    if task.heartbeat is not None:
+        _write_heartbeat(_heartbeat_path(task.heartbeat[0], task.name))
     time.sleep(3.0)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
 def _runner(tmp_path, **kwargs):
@@ -64,7 +63,7 @@ class TestBrokenPoolJournalled:
         runner.prefetch(CELLS)
         runner.close_journal()
         for cell in CELLS:
-            assert cell in runner._runs
+            assert runner._cell(*cell) in runner._runs
         assert len(runner.failures.degraded) == len(CELLS)
         replay = JournalReplay.from_path(tmp_path / "run.jnl")
         assert replay.balanced()
@@ -86,7 +85,10 @@ class TestBrokenPoolJournalled:
         assert resumed.journal_stats["replayed"] == len(CELLS)
         assert resumed.journal_stats["rerun"] == 0
         for cell in CELLS:
-            assert resumed._runs[cell].cycles == first._runs[cell].cycles
+            assert (
+                resumed._runs[resumed._cell(*cell)].cycles
+                == first._runs[first._cell(*cell)].cycles
+            )
         assert "2 replayed" in render_journal_line(resumed)
 
     def test_refused_submit_is_journaled_as_a_pool_attempt(
@@ -149,7 +151,7 @@ class TestDeadlineRetryExhaustion:
         runner.prefetch(CELLS)
         runner.close_journal()
         for cell in CELLS:
-            assert cell in runner._runs
+            assert runner._cell(*cell) in runner._runs
         assert runner.failures.timed_out  # both rounds blew the deadline
         assert runner.failures.retried  # the retry round was scheduled
         assert len(runner.failures.degraded) == len(CELLS)
@@ -195,7 +197,7 @@ class TestHeartbeatSupervision:
         runner.close_journal()
         assert elapsed < 3.0  # did not wait out the 3s hang or the 30s deadline
         for cell in CELLS:
-            assert cell in runner._runs
+            assert runner._cell(*cell) in runner._runs
         assert runner.failures.timed_out
         assert len(runner.failures.degraded) == len(CELLS)
         replay = JournalReplay.from_path(tmp_path / "run.jnl")
@@ -213,10 +215,10 @@ class TestAbandonedEscalation:
     def _poison(self, runner, bad_benchmark):
         original = runner._simulate
 
-        def simulate(name, n_cores, strategy):
+        def simulate(name, config, strategy):
             if name == bad_benchmark:
                 raise RuntimeError("poisoned cell")
-            return original(name, n_cores, strategy)
+            return original(name, config, strategy)
 
         runner._simulate = simulate
 
@@ -237,8 +239,8 @@ class TestAbandonedEscalation:
         self._poison(runner, "rawcaudio")
         runner.prefetch(CELLS)  # no exception: one abandonment absorbed
         runner.close_journal()
-        assert ("gsmdecode", 1, "baseline") in runner._runs
-        assert ("rawcaudio", 1, "baseline") not in runner._runs
+        assert runner._cell("gsmdecode", 1, "baseline") in runner._runs
+        assert runner._cell("rawcaudio", 1, "baseline") not in runner._runs
         assert runner.journal_stats["abandoned"] == 1
         replay = JournalReplay.from_path(tmp_path / "run.jnl")
         assert replay.balanced()
@@ -255,7 +257,9 @@ class TestQuarantineResumeInterplay:
         warm = _runner(tmp_path, jobs=1)
         warm.prefetch(CELLS)
         warm.close_journal()
-        golden = {cell: warm._runs[cell].to_dict() for cell in CELLS}
+        golden = {
+            cell: warm._runs[warm._cell(*cell)].to_dict() for cell in CELLS
+        }
         # The journal promises durable cache entries -- break that promise
         # behind its back (disk corruption), then resume.
         for entry in Path(tmp_path / "cache").glob("*.json"):
@@ -269,7 +273,8 @@ class TestQuarantineResumeInterplay:
         assert resumed.journal_stats["replayed"] == 0
         assert resumed.journal_stats["rerun"] == len(CELLS)
         for cell in CELLS:
-            assert resumed._runs[cell].to_dict() == golden[cell]
+            result = resumed._runs[resumed._cell(*cell)]
+            assert result.to_dict() == golden[cell]
         replay = JournalReplay.from_path(journal)
         assert replay.balanced()
 

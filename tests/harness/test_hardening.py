@@ -38,26 +38,26 @@ BENCHES = ("rawcaudio", "gsmdecode")
 CELLS = [(name, 1, "baseline") for name in BENCHES]
 
 
-def _crash_worker(spec):
+def _crash_worker(task):
     # Simulates a segfault / OOM kill: the worker process dies without
     # unwinding, which surfaces in the parent as BrokenProcessPool.
     os._exit(3)
 
 
-def _hang_worker(spec):
+def _hang_worker(task):
     time.sleep(3.0)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
-def _flaky_worker(spec):
+def _flaky_worker(task):
     # First invocation per benchmark hangs past any sane deadline; every
     # later one behaves.  The marker lives in the (shared) cache dir so
     # the state survives the worker process boundary.
-    marker = Path(spec[4]) / f"flaky-{spec[0]}"
+    marker = Path(task.cache_dir) / f"flaky-{task.name}"
     if not marker.exists():
         marker.write_text("seen")
         time.sleep(3.0)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
 def _runner(tmp_path, **kwargs):
@@ -74,7 +74,7 @@ class TestWorkerCrash:
         runner.prefetch(CELLS)
         # Every cell still produced a result, in-process.
         for cell in CELLS:
-            assert cell in runner._runs
+            assert runner._cell(*cell) in runner._runs
         assert runner.failures.worker_crashes >= 1
         assert len(runner.failures.degraded) == len(CELLS)
         line = render_failure_line(runner)
@@ -89,7 +89,8 @@ class TestWorkerCrash:
         clean.prefetch(CELLS)
         for cell in CELLS:
             assert (
-                crashed._runs[cell].cycles == clean._runs[cell].cycles
+                crashed._runs[crashed._cell(*cell)].cycles
+                == clean._runs[clean._cell(*cell)].cycles
             )
 
 
@@ -101,8 +102,8 @@ class TestCellTimeout:
         runner.prefetch(CELLS)
         elapsed = time.monotonic() - started
         for cell in CELLS:
-            assert cell in runner._runs
-        assert runner.failures.timed_out  # both specs blew the deadline
+            assert runner._cell(*cell) in runner._runs
+        assert runner.failures.timed_out  # both tasks blew the deadline
         assert len(runner.failures.degraded) == len(CELLS)
         # The whole recovery (timeout + serial re-run of two tiny cells)
         # must beat the 3s the workers would have slept.
@@ -119,7 +120,7 @@ class TestCellTimeout:
         runner._worker_fn = _flaky_worker
         runner.prefetch(CELLS)
         for cell in CELLS:
-            assert cell in runner._runs
+            assert runner._cell(*cell) in runner._runs
         assert runner.failures.timed_out  # round one hung
         assert runner.failures.retried  # round two was scheduled
 
@@ -251,7 +252,7 @@ class TestFaultKnobs:
         out = io.StringIO()
         assert (
             cli_main(
-                ["run", "--benchmark", "rawcaudio", "--cores", "2",
+                ["run", "--benchmark", "rawcaudio", "--machine", "2",
                  "--strategy", "ilp", "--faults", "--fault-seed", "5",
                  "--fault-rate", "0.05", "--cache-dir", str(tmp_path)],
                 out=out,
@@ -269,7 +270,7 @@ class TestFaultKnobs:
         out = io.StringIO()
         assert (
             cli_main(
-                ["run", "--benchmark", "rawcaudio", "--cores", "2",
+                ["run", "--benchmark", "rawcaudio", "--machine", "2",
                  "--strategy", "tlp", "--faults", "--fault-seed", "5",
                  "--fault-profile", "destructive",
                  "--cache-dir", str(tmp_path)],
@@ -330,5 +331,5 @@ class TestFaultKnobs:
         )
         runner.prefetch(CELLS)
         for cell in CELLS:
-            assert runner._runs[cell].correct
+            assert runner._runs[runner._cell(*cell)].correct
         assert not runner.failures.any()

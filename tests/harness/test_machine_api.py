@@ -1,5 +1,5 @@
-"""The machine= API redesign: deprecation shims, preset plumbing
-through session/run_cell/sweep, and the CLI --machine flag."""
+"""The machine= API: preset plumbing through session/run_cell/sweep,
+the removed cores= spellings, and the CLI --machine flag."""
 
 import io
 
@@ -12,16 +12,28 @@ from repro.harness import cli
 
 
 class TestMachineKwarg:
-    def test_cores_kwarg_warns_and_still_works(self, tmp_path):
-        with pytest.deprecated_call():
-            result = api.run_cell(
-                "rawcaudio", cores=2, strategy="ilp", cache_dir=tmp_path
-            )
-        assert result.correct
-        assert result.n_cores == 2
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: api.compile_benchmark("rawcaudio", cores=2),
+            lambda: api.verify_benchmark("rawcaudio", cores=2),
+            lambda: api.run_cell("rawcaudio", cores=2),
+            lambda: api.run_figure("13", cores=2),
+            lambda: api.sweep(["rawcaudio"], cores=(2,)),
+        ],
+        ids=[
+            "compile_benchmark", "verify_benchmark", "run_cell",
+            "run_figure", "sweep",
+        ],
+    )
+    def test_cores_kwarg_removed(self, call):
+        """The deprecated spelling fails as a plain unknown keyword,
+        before any build or simulation."""
+        with pytest.raises(TypeError, match="unexpected keyword.*'cores'"):
+            call()
 
     def test_both_spellings_is_a_type_error(self):
-        with pytest.raises(TypeError, match="both"):
+        with pytest.raises(TypeError, match="unexpected keyword.*'cores'"):
             api.run_cell("rawcaudio", machine=2, cores=2)
 
     def test_run_cell_requires_a_machine(self):
@@ -51,13 +63,6 @@ class TestMachineKwarg:
         )
         assert report.ok
 
-    def test_sweep_cores_kwarg_warns(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ValueError):
-                # Invalid workload aborts before any simulation; the
-                # deprecation fires first.
-                api.sweep([], cores=(2,))
-
     def test_list_presets_reexported(self):
         names = repro.list_presets()
         assert "mesh32-directory" in names
@@ -67,8 +72,8 @@ class TestMachineKwarg:
 class TestSessionMachine:
     def test_session_applies_machine_knobs_across_core_counts(self):
         runner = api.session(["rawcaudio"], machine="mesh16-directory")
-        # include_shape=False: the knobs follow every core count the
-        # session is asked for, not just 16.
+        # The knobs follow every core count the session is asked for,
+        # not just 16.
         assert runner.machine_config(16).coherence == "directory"
         assert runner.machine_config(4).coherence == "directory"
 
@@ -114,17 +119,26 @@ class TestCliMachine:
         assert code == 0
         assert "2 core(s)" in out.getvalue()
 
-    def test_run_rejects_machine_plus_cores(self):
-        out = io.StringIO()
-        code = cli.main(
-            [
-                "run", "--benchmark", "rawcaudio", "--machine", "two",
-                "--cores", "4",
-            ],
-            out=out,
-        )
-        assert code == 2
-        assert "not both" in out.getvalue()
+    def test_run_rejects_machine_plus_cores(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            cli.main(
+                [
+                    "run", "--benchmark", "rawcaudio", "--machine", "two",
+                    "--cores", "4",
+                ],
+                out=io.StringIO(),
+            )
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --cores 4" in capsys.readouterr().err
+
+    def test_run_cores_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            cli.main(
+                ["run", "--benchmark", "rawcaudio", "--cores", "2"],
+                out=io.StringIO(),
+            )
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --cores 2" in capsys.readouterr().err
 
     def test_run_rejects_unknown_preset(self):
         out = io.StringIO()
@@ -150,14 +164,14 @@ class TestCliMachine:
         assert code == 0
         assert "1 cells" in out.getvalue()
 
-    def test_sweep_rejects_machines_plus_cores(self):
-        out = io.StringIO()
-        code = cli.main(
-            [
-                "sweep", "--workloads", "rawcaudio",
-                "--machines", "2", "--cores", "4",
-            ],
-            out=out,
-        )
-        assert code == 2
-        assert "not both" in out.getvalue()
+    def test_sweep_rejects_machines_plus_cores(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            cli.main(
+                [
+                    "sweep", "--workloads", "rawcaudio",
+                    "--machines", "2", "--cores", "4",
+                ],
+                out=io.StringIO(),
+            )
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --cores 4" in capsys.readouterr().err

@@ -7,10 +7,12 @@ simulates nothing.
 """
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from repro.harness import experiments
 from repro.harness.sweep import (
     AXIS_KINDS,
     SweepPoint,
@@ -123,19 +125,23 @@ class TestDominance:
         assert pareto_frontier(points) == [0, 2]
 
 
+def _three_axes(workloads):
+    return SweepSpec(
+        workloads=tuple(workloads),
+        strategies=("tlp", "hybrid"),
+        cores=(2, 4),
+        queue_depths=(4, 16),
+        memory_latencies=(50, 200),
+    )
+
+
 class TestRunSweep:
     @pytest.fixture(scope="class")
     def workloads(self):
         return [make_handle(101, TINY), make_handle(102, TINY)]
 
     def test_sweep_over_three_axes(self, workloads, tmp_path):
-        spec = SweepSpec(
-            workloads=tuple(workloads),
-            strategies=("tlp", "hybrid"),
-            cores=(2, 4),
-            queue_depths=(4, 16),
-            memory_latencies=(50, 200),
-        )
+        spec = _three_axes(workloads)
         document = run_sweep(
             spec, max_cycles=2_000_000, cache_dir=tmp_path / "cache"
         )
@@ -156,7 +162,10 @@ class TestRunSweep:
         assert set(point["speedups"]) == set(workloads)
         assert all(v > 0 for v in point["speedups"].values())
         assert point["geomean_speedup"] > 0
-        assert document["cache"]["misses"] > 0
+        # One runner probes each workload's reference outputs once (a
+        # miss) and every cell once: 2 references + 4 machine points x
+        # 2 workloads x (baseline + 2 cores x 2 strategies).
+        assert document["cache"] == {"hits": 0, "misses": 42}
         assert json.loads(GOLDEN.read_text()) == {
             "points": document["points"],
             "frontiers": document["frontiers"],
@@ -182,6 +191,29 @@ class TestRunSweep:
         assert again["cache"]["misses"] == 0
         assert again["cache"]["hits"] > 0
         assert again["points"] == document["points"]
+
+    def test_parallel_sweep_opens_one_pool(
+        self, workloads, tmp_path, monkeypatch
+    ):
+        pools = []
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+        document = run_sweep(
+            _three_axes(workloads),
+            max_cycles=2_000_000,
+            cache_dir=tmp_path / "cache",
+            jobs=2,
+        )
+        # 4 machine points (queue depth x memory latency), one pool.
+        assert len(pools) == 1
+        assert json.loads(GOLDEN.read_text()) == {
+            "points": document["points"],
+            "frontiers": document["frontiers"],
+        }
 
     def test_write_and_render(self, workloads, tmp_path):
         spec = SweepSpec(

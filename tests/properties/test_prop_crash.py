@@ -38,28 +38,28 @@ from repro.harness.journal import read_journal
 KILL_SEED = int(os.environ.get("KILL_SEED", "1"))
 
 BENCHES = ("rawcaudio", "gsmdecode")
-#: Two specs (fan-out is per benchmark), two cells each.
+#: Two worker tasks (fan-out is per benchmark), two cells each.
 CELLS = [(name, cores, s) for name in BENCHES
          for cores, s in ((1, "baseline"), (2, "ilp"))]
 
 
-def _kill_plan_worker(spec):
+def _kill_plan_worker(task):
     """Pool worker that honors a one-shot kill plan: a
     ``killplan-<benchmark>`` file in the cache dir names the phase --
     ``before-simulate`` (SIGKILL with nothing durable) or
     ``after-store`` (simulate, publish durably, *then* SIGKILL before
     reporting back).  The marker is consumed first, so the retry or the
     serial fallback runs clean, exactly like a real transient crash."""
-    marker = Path(spec[4]) / f"killplan-{spec[0]}"
+    marker = Path(task.cache_dir) / f"killplan-{task.name}"
     if marker.exists():
         phase = marker.read_text()
         marker.unlink()
         if phase == "before-simulate":
             os.kill(os.getpid(), signal.SIGKILL)
-        payloads = _run_cells_worker(spec)
+        payloads = _run_cells_worker(task)
         assert payloads  # the store happened; the report never will
         os.kill(os.getpid(), signal.SIGKILL)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
 def _golden(tmp_path):
@@ -68,7 +68,7 @@ def _golden(tmp_path):
         benchmarks=list(BENCHES), cache_dir=tmp_path / "golden-cache", jobs=1
     )
     runner.prefetch(CELLS)
-    return {cell: runner._runs[cell].to_dict() for cell in CELLS}
+    return {cell: runner._runs[runner._cell(*cell)].to_dict() for cell in CELLS}
 
 
 class TestWorkerSigkill:
@@ -93,7 +93,7 @@ class TestWorkerSigkill:
 
         golden = _golden(tmp_path)
         for cell in CELLS:
-            assert runner._runs[cell].to_dict() == golden[cell]
+            assert runner._runs[runner._cell(*cell)].to_dict() == golden[cell]
         assert runner.failures.worker_crashes >= 1
         replay = JournalReplay.from_path(journal)
         assert replay.balanced()
@@ -138,7 +138,7 @@ class TestWorkerSigkill:
 
 SWEEP_ARGS = [
     "sweep", "--workloads", *BENCHES,
-    "--cores", "2", "4", "--strategies", "ilp", "tlp", "llp",
+    "--machines", "2", "4", "--strategies", "ilp", "tlp", "llp",
 ]
 
 #: Cells the sweep grid dispatches: 2 baselines + 2x2x3 strategy cells.
