@@ -82,7 +82,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .. import api
-from ..arch.config import MachineConfig, resolve_machine
+from ..arch.config import resolve_machine
 from ..sim.faults import FAULT_PROFILES, FaultConfig
 from ..sim.stats import STALL_CATEGORIES
 from ..workloads.generator import generate_handles, is_generated, parse_handle
@@ -122,16 +122,6 @@ def _add_machine_option(subparser: argparse.ArgumentParser, help_tail="") -> Non
         "from repro.list_presets(), e.g. mesh16 or mesh32-directory"
         + help_tail,
     )
-
-
-def _resolve_machine_flag(args, out) -> Optional[MachineConfig]:
-    """Resolve --machine (default 4 cores) to a MachineConfig, or None
-    on error (already reported)."""
-    try:
-        return resolve_machine(4 if args.machine is None else args.machine)
-    except (TypeError, ValueError) as error:
-        print(f"bad --machine spec: {error}", file=out)
-        return None
 
 
 def _add_runner_options(subparser: argparse.ArgumentParser) -> None:
@@ -532,8 +522,10 @@ def _cmd_list(args, out) -> int:
 def _cmd_run(args, out) -> int:
     if not _check_workloads([args.benchmark], out):
         return 2
-    machine = _resolve_machine_flag(args, out)
-    if machine is None:
+    try:
+        machine = resolve_machine(4 if args.machine is None else args.machine)
+    except (TypeError, ValueError) as error:
+        print(f"bad --machine spec: {error}", file=out)
         return 2
     policy = getattr(args, "queue_policy", None)
     if policy is not None and policy != machine.network.queue_policy:

@@ -390,6 +390,7 @@ class ExperimentRunner:
         return config
 
     def _cell(self, name: str, machine: Machine, strategy: str) -> Cell:
+        """The cell as the memo, keys and workers see it."""
         if not isinstance(machine, MachineConfig):
             machine = self.machine_config(machine)
         return (name, machine, strategy)

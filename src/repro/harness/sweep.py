@@ -229,7 +229,6 @@ def run_sweep(
             for n_cores in spec.cores
             for strategy in spec.strategies
         ]
-    resumed = resume and journal is not None and Path(journal).exists()
     runner = ExperimentRunner(
         benchmarks=list(spec.workloads),
         seed=seed,
@@ -290,7 +289,7 @@ def run_sweep(
     if runner.journal is not None:
         document["journal"] = {
             "path": str(runner.journal.path),
-            "resumed": resumed,
+            "resumed": runner._replay is not None,
             **runner.journal_stats,
         }
     return document
