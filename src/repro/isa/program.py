@@ -159,13 +159,25 @@ class ArraySymbol:
 
 
 class Program:
-    """A whole program: functions, an entry point, and a memory image."""
+    """A whole program: functions, an entry point, and a memory image.
+
+    The memory image is stored as segments: one ``(base, values)`` pair
+    per array allocated with an initializer, ``values`` an immutable
+    tuple filling ``base, base + 1, ...``; every other word reads zero.
+    A suite program initialises thousands of words, and a tuple slot
+    costs a fraction of a dict entry, so a session holding every built
+    program stays small.  :attr:`initial_memory` builds a fresh writable
+    ``{addr: value}`` dict from the segments on each read, so a run's
+    stores never reach the program.
+    """
 
     def __init__(self, name: str = "program", entry: str = "main") -> None:
         self.name = name
         self.entry = entry
         self.functions: Dict[str, Function] = {}
-        self.initial_memory: Dict[int, Any] = {}
+        #: ``(base, values)`` per initialised array, in allocation
+        #: (hence address) order; arrays never overlap.
+        self.memory_segments: List[Tuple[int, Tuple[Any, ...]]] = []
         self.arrays: Dict[str, ArraySymbol] = {}
         self._heap_top = 0
         # One allocator for the whole program: virtual registers are
@@ -207,12 +219,20 @@ class Program:
         symbol = ArraySymbol(name, base, size)
         self.arrays[name] = symbol
         if init is not None:
-            values = list(init)
+            values = tuple(init)
             if len(values) > size:
                 raise ValueError(f"initializer for {name} longer than array")
-            for offset, value in enumerate(values):
-                self.initial_memory[base + offset] = value
+            self.memory_segments.append((base, values))
         return symbol
+
+    @property
+    def initial_memory(self) -> Dict[int, Any]:
+        """A fresh ``{addr: value}`` dict of the initialised words: the
+        caller owns it and may write to it."""
+        image: Dict[int, Any] = {}
+        for base, values in self.memory_segments:
+            image.update(zip(range(base, base + len(values)), values))
+        return image
 
     def array(self, name: str) -> ArraySymbol:
         return self.arrays[name]

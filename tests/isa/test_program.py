@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.arch.config import mesh
+from repro.compiler import VoltronCompiler
+from repro.isa import ProgramBuilder, run_program
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
 from repro.isa.program import ArraySymbol, BasicBlock, Function, Program
+from repro.sim import VoltronMachine
 
 
 def _branch(function, target):
@@ -145,3 +149,64 @@ class TestProgram:
         a = f.regs.gpr()
         b = g.regs.gpr()
         assert a != b
+
+
+def _scale_in_place(n=32):
+    """``u[i] = u[i] * 3`` over an initialised array: every run stores
+    into words the program's image initialises."""
+    pb = ProgramBuilder("scale_in_place")
+    u = pb.alloc("u", n, init=range(1, n + 1))
+    fb = pb.function("main")
+    fb.block("entry")
+    three = fb.mov(3)
+    with fb.counted_loop("scale", 0, n) as i:
+        fb.store(u.base, i, fb.mul(fb.load(u.base, i), three))
+    fb.halt()
+    return pb.finish()
+
+
+class TestMemoryImage:
+    def test_partial_empty_and_absent_initializers(self):
+        program = Program()
+        program.alloc_array("partial", 4, init=[1, 2])
+        program.alloc_array("empty", 3, init=[])
+        program.alloc_array("absent", 5)
+        program.alloc_array("generated", 2, init=(x for x in (7, 8)))
+        # Bases 0, 8, 16, 24: only the initialised words appear.
+        assert program.initial_memory == {0: 1, 1: 2, 24: 7, 25: 8}
+
+    def test_segments_hold_one_entry_per_initialised_array(self):
+        program = Program()
+        program.alloc_array("a", 4, init=[1, 2])
+        program.alloc_array("b", 5)
+        program.alloc_array("c", 2, init=[7, 8])
+        assert program.memory_segments == [(0, (1, 2)), (16, (7, 8))]
+
+    def test_image_is_a_fresh_copy(self):
+        program = Program()
+        program.alloc_array("a", 2, init=[5, 6])
+        image = program.initial_memory
+        image[0] = 99
+        image[40] = 1
+        assert program.initial_memory == {0: 5, 1: 6}
+        assert program.initial_memory is not program.initial_memory
+
+    def test_runs_never_write_back_into_the_program(self):
+        program = _scale_in_place()
+        before = program.initial_memory
+        result = run_program(program)
+        assert result.array_values(program, "u") == [3 * v for v in range(1, 33)]
+        compiled = VoltronCompiler(program).compile("hybrid", mesh(2))
+        machine = VoltronMachine(compiled, mesh(2))
+        machine.run()
+        assert machine.array_values("u") == [3 * v for v in range(1, 33)]
+        assert program.initial_memory == before
+        assert program.memory_segments == [(0, tuple(range(1, 33)))]
+
+    def test_back_to_back_machines_agree(self):
+        compiled = VoltronCompiler(_scale_in_place()).compile("hybrid", mesh(2))
+        runs = []
+        for _ in range(2):
+            machine = VoltronMachine(compiled, mesh(2))
+            runs.append((machine.run().to_dict(), machine.final_memory()))
+        assert runs[0] == runs[1]
