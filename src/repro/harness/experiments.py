@@ -56,7 +56,7 @@ from ..sim.faults import FaultConfig, FaultPlan
 from ..sim.machine import VoltronMachine
 from ..sim.stats import MachineStats, STALL_CATEGORIES
 from ..workloads.suite import BENCHMARKS, Benchmark, build
-from .cache import ResultCache, cache_key, reference_key
+from .cache import ProgramKeys, ResultCache, cache_key, reference_key
 from .journal import JournalReplay, RunJournal
 
 #: Strategies evaluated per figure.
@@ -366,8 +366,11 @@ class ExperimentRunner:
         #: The pool entry point; tests swap in crashing/hanging doubles.
         self._worker_fn = _run_cells_worker
         self._built: Dict[str, Benchmark] = {}
-        #: Cell -> content-hash key; the fingerprint render is not free,
-        #: and every cell is keyed at least twice (probe + store).
+        #: Benchmark -> its key prefixes: each program's fingerprint is
+        #: rendered once per runner, on its first key.
+        self._program_keys: Dict[str, ProgramKeys] = {}
+        #: Cell -> content-hash key; every cell is keyed at least twice
+        #: (probe + store).
         self._keys: Dict[Cell, str] = {}
         self._compilers: Dict[str, VoltronCompiler] = {}
         self._references: Dict[str, Dict[str, List[Value]]] = {}
@@ -395,6 +398,13 @@ class ExperimentRunner:
             machine = self.machine_config(machine)
         return (name, machine, strategy)
 
+    def program_keys(self, name: str) -> ProgramKeys:
+        keys = self._program_keys.get(name)
+        if keys is None:
+            keys = ProgramKeys(self.benchmark(name).program)
+            self._program_keys[name] = keys
+        return keys
+
     def compiler(self, name: str) -> VoltronCompiler:
         if name not in self._compilers:
             self._compilers[name] = VoltronCompiler(self.benchmark(name).program)
@@ -403,7 +413,7 @@ class ExperimentRunner:
     def reference_outputs(self, name: str) -> Dict[str, List[Value]]:
         if name not in self._references:
             bench = self.benchmark(name)
-            key = reference_key(bench.program) if self.cache else None
+            key = reference_key(self.program_keys(name)) if self.cache else None
             if key is not None:
                 payload = self.cache.load(key)
                 if payload is not None:
@@ -423,7 +433,7 @@ class ExperimentRunner:
         key = self._keys.get(cell)
         if key is None:
             key = cache_key(
-                self.benchmark(name).program,
+                self.program_keys(name),
                 cell[1],
                 self.seed,
                 strategy,

@@ -14,7 +14,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro import api
 from repro.arch import mesh, single_core
+from repro.harness import cache as cache_module
 from repro.harness import (
     ExperimentRunner,
     ResultCache,
@@ -22,6 +24,7 @@ from repro.harness import (
     program_fingerprint,
     reference_key,
 )
+from repro.harness.cache import ProgramKeys
 from repro.harness.cli import main as cli_main
 from repro.harness.reporting import render_cache_line
 from repro.workloads.suite import build
@@ -120,6 +123,15 @@ class TestKeys:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == local
 
+    def test_program_keys_give_the_direct_keys(self):
+        program = build(BENCH).program
+        keys = ProgramKeys(program)
+        assert reference_key(keys) == reference_key(program)
+        for config, strategy in ((mesh(2), "ilp"), (single_core(), "baseline")):
+            assert cache_key(keys, config, 1, strategy, 1000, "faults x") == (
+                cache_key(program, config, 1, strategy, 1000, "faults x")
+            )
+
 
 class TestRunnerCaching:
     def test_second_runner_hits_instead_of_simulating(self, tmp_path):
@@ -148,6 +160,33 @@ class TestRunnerCaching:
         assert reader.cache.misses == 0
         for cell in cells:
             assert reader._cell(*cell) in reader._runs
+
+    def test_a_session_renders_each_program_once(self, tmp_path, monkeypatch):
+        """A benchmark's 9 paper cells plus its reference output key off
+        one fingerprint render; a second session renders again (the
+        hash states live on the runner, not in the process)."""
+        renders = []
+
+        def counting(program):
+            renders.append(program.name)
+            return program_fingerprint(program)
+
+        monkeypatch.setattr(cache_module, "program_fingerprint", counting)
+        cells = [(BENCH, 1, "baseline")] + [
+            (BENCH, n, strategy)
+            for n in (2, 4)
+            for strategy in ("ilp", "tlp", "llp", "hybrid")
+        ]
+        for session_index in (1, 2):
+            runner = api.session([BENCH], cache_dir=tmp_path)
+            for cell in cells:
+                assert runner.run(*cell).correct
+            runner.reference_outputs(BENCH)
+            assert len(runner._keys) == len(cells)
+            assert len(renders) == session_index
+        # The second session was served by the first one's cell and
+        # reference entries.
+        assert (runner.cache.hits, runner.cache.misses) == (len(cells) + 1, 0)
 
     def test_in_memory_memo_avoids_recounting(self, tmp_path):
         runner = ExperimentRunner(benchmarks=[BENCH], cache_dir=tmp_path)
