@@ -28,8 +28,7 @@ from ..arch.config import mesh
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..isa.program import Program
-from ..sim.machine import VoltronMachine
-from .sanitizer import RaceSanitizer
+from .sanitizer import run_sanitized
 from .verifier import verify_compiled
 
 #: Cells the oracle checks by default: the static pass sweeps every
@@ -122,33 +121,21 @@ def check_program(
         compiled = compiler.compile(strategy, config)
         if mutate is not None:
             mutate(compiled)
-        sanitizer = RaceSanitizer()
-        machine = VoltronMachine(
-            compiled, config, max_cycles=max_cycles, sanitizer=sanitizer
-        )
-        machine.run()
+        run = run_sanitized(compiled, config, max_cycles=max_cycles)
         checked_dynamic += 1
-        races = [f for f in sanitizer.findings if not f.suppressed]
-        if races:
+        findings = run.findings
+        if findings:
             return OracleVerdict(
                 ok=False,
                 stage="dynamic",
                 cell=(cores, strategy),
                 detail="; ".join(
-                    f"{f.kind} in {f.function}:{f.block}" for f in races[:3]
+                    f"{f.kind} in {f.function}:{f.block}" for f in findings[:3]
                 ),
                 static_cells=checked_static,
                 dynamic_cells=checked_dynamic,
             )
-        if not machine.network.quiescent():
-            return OracleVerdict(
-                ok=False,
-                stage="dynamic",
-                cell=(cores, strategy),
-                detail="messages still queued or in flight after halt",
-                static_cells=checked_static,
-                dynamic_cells=checked_dynamic,
-            )
+        machine = run.machine
         mismatched: List[str] = [
             name
             for name, values in expected.items()

@@ -138,8 +138,7 @@ def verify_benchmark(
     ``suppressions`` entries name findings to tolerate, as ``kind``,
     ``kind:function``, or ``kind:function:block``.
     """
-    from .analysis import RaceSanitizer, verify_compiled
-    from .analysis.findings import Finding, match_suppression
+    from .analysis import run_sanitized, verify_compiled
 
     config = resolve_machine(machine)
     bench = build(benchmark, seed)
@@ -148,29 +147,10 @@ def verify_benchmark(
     report.benchmark = benchmark
     report.strategy = strategy
     if dynamic:
-        from .sim.machine import VoltronMachine
-
-        sanitizer = RaceSanitizer()
-        machine = VoltronMachine(
-            compiled, config, max_cycles=max_cycles, sanitizer=sanitizer
-        )
-        machine.run()
-        report.count("dynamic_accesses", sanitizer.checked_accesses)
-        for finding in sanitizer.findings:
-            finding.suppressed = match_suppression(finding, suppressions)
+        run = run_sanitized(compiled, config, max_cycles, suppressions)
+        report.count("dynamic_accesses", run.sanitizer.checked_accesses)
+        for finding in run.findings:
             report.add(finding)
-        if not machine.network.quiescent():
-            leak = Finding(
-                kind="message-leak",
-                function="<machine>",
-                block="<halt>",
-                region=0,
-                core=None,
-                message="messages still queued or in flight after halt "
-                "(orphaned SEND reached the network)",
-            )
-            leak.suppressed = match_suppression(leak, suppressions)
-            report.add(leak)
     return report
 
 

@@ -32,7 +32,6 @@ from ..isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from ..isa.operations import (
     Imm,
     Opcode,
-    Operand,
     Operation,
     Reg,
     RegFile,

@@ -17,7 +17,7 @@ scheduler never reorders ops, so the discipline holds by construction.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..arch.mesh import Mesh, opposite
 from ..isa.operations import Imm, Opcode, Operation, Reg, RegFile, make_op

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..isa.operations import Imm, Opcode, Operand, Operation, Reg
-from ..isa.program import ArraySymbol, Program
+from ..isa.program import Program
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ iteration zero; the paper's eBUG likewise favours keeping them together.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ...arch.mesh import Mesh
-from ...isa.operations import Opcode, Operation, Reg
+from ...isa.operations import Opcode, Operation
 from ..dfg import CARRIED, FLOW, MEMORY, DependenceGraph
 from ..profiling import ExecutionProfile
 from .bug import BugPartitioner, _State

@@ -68,9 +68,10 @@ the reconciled per-mode timeline.  Profiled runs always simulate fresh
 every compiled cell in the grid -- channel balance, DVLIW alignment,
 memory-sync coverage, mode barriers, TM brackets -- and exits 1 on any
 unsuppressed finding; ``--dynamic`` additionally executes each cell
-under the happens-before race sanitizer, ``--report FILE`` writes the
-merged findings document CI uploads, and ``--suppress
-kind[:function[:block]]`` tolerates known findings.
+under the happens-before race sanitizer and reports messages left in
+the network at halt (:func:`repro.analysis.run_sanitized`), ``--report
+FILE`` writes the merged findings document CI uploads, and
+``--suppress kind[:function[:block]]`` tolerates known findings.
 """
 
 from __future__ import annotations
@@ -467,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dynamic",
         action="store_true",
         help="additionally execute each cell under the race sanitizer "
-        "(shadow-memory happens-before over cross-core accesses)",
+        "(shadow-memory happens-before over cross-core accesses) and "
+        "report messages left in the network at halt",
     )
     verify.add_argument(
         "--suppress",
@@ -801,7 +803,7 @@ def _verify_grid(args, machine=None) -> List[tuple]:
 
 
 def _cmd_verify(args, out) -> int:
-    from ..analysis import merge_reports, verify_compiled
+    from ..analysis import merge_reports, run_sanitized, verify_compiled
     from ..arch.config import apply_overrides, machine_overrides, mesh
     from ..compiler.driver import VoltronCompiler
     from ..workloads.suite import build
@@ -832,18 +834,9 @@ def _cmd_verify(args, out) -> int:
             report.benchmark = name
             report.strategy = strategy
             if args.dynamic:
-                from ..analysis import RaceSanitizer
-                from ..analysis.findings import match_suppression
-                from ..sim.machine import VoltronMachine
-
-                sanitizer = RaceSanitizer()
-                machine = VoltronMachine(compiled, config, sanitizer=sanitizer)
-                machine.run()
-                report.count("dynamic_accesses", sanitizer.checked_accesses)
-                for finding in sanitizer.findings:
-                    finding.suppressed = match_suppression(
-                        finding, args.suppress
-                    )
+                run = run_sanitized(compiled, config, suppressions=args.suppress)
+                report.count("dynamic_accesses", run.sanitizer.checked_accesses)
+                for finding in run.findings:
                     report.add(finding)
             reports.append(report)
             if not report.ok:

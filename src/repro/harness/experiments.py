@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..arch.config import MachineConfig, apply_overrides, mesh
+from ..arch.config import MachineConfig, apply_overrides, mesh, single_core
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..isa.registers import Value
@@ -550,7 +550,8 @@ class ExperimentRunner:
         plan = self._fault_plan((name, config, strategy))
         obs, self.obs = self.obs, None  # single-use: first simulation wins
         machine = VoltronMachine(
-            compiled, config, max_cycles=self.max_cycles, faults=plan, obs=obs
+            compiled, config, max_cycles=self.max_cycles, faults=plan,
+            observer=obs,
         )
         stats = machine.run()
         if plan is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..sim.recovery import REMAP_HOPS_PREFIX
 from .experiments import arithmean

@@ -1,22 +1,26 @@
 """Execution tracing: a per-cycle, per-core timeline of a simulation.
 
-Attach a :class:`Tracer` to a :class:`VoltronMachine` before running and
+Attach a :class:`Tracer` as a :class:`VoltronMachine`'s observer and
 render the collected events as a text timeline -- a poor man's pipeline
 diagram, invaluable for seeing lock-step PUT/GET alignment, queue-mode
 decoupling, barriers, and transaction retries at a glance.
 
-    machine = VoltronMachine(compiled, config)
-    tracer = Tracer.attach(machine, limit=4000)
-    machine.run()
+    tracer = Tracer(limit=4000)
+    VoltronMachine(compiled, config, observer=tracer).run()
     print(tracer.render(start=0, end=80))
+
+The tracer runs the machine on its reference schedule (every core
+stepped every cycle), so a stalled issue attempt -- a RECV waiting for
+its message -- is logged on every cycle it retries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..isa.operations import Opcode, Operation
+from ..sim.observer import Observer
 
 #: Compact one/two-character mnemonics for the timeline cells.
 _GLYPHS = {
@@ -83,25 +87,23 @@ class TraceEvent:
         return _GLYPHS.get(self.op.opcode, "##")
 
 
-@dataclass
-class Tracer:
+class Tracer(Observer):
     """Collects (cycle, core, op) execution events from a machine."""
 
-    n_cores: int
-    limit: int = 100_000
-    events: List[TraceEvent] = field(default_factory=list)
-    truncated: bool = False
-    #: Events discarded after the limit was hit (so a truncated render
-    #: says how much of the run it is blind to).
-    dropped: int = 0
+    def __init__(self, limit: int = 100_000) -> None:
+        self.limit = limit
+        self.n_cores = 0
+        self.events: List[TraceEvent] = []
+        self.truncated = False
+        #: Events discarded after the limit was hit (so a truncated render
+        #: says how much of the run it is blind to).
+        self.dropped = 0
 
-    @classmethod
-    def attach(cls, machine, limit: int = 100_000) -> "Tracer":
-        tracer = cls(n_cores=machine.config.n_cores, limit=limit)
-        machine.op_observers.append(tracer._record)
-        return tracer
+    def attach(self, machine) -> None:
+        self.n_cores = machine.config.n_cores
+        machine.fast_forward = False
 
-    def _record(self, cycle: int, core: int, op: Operation) -> None:
+    def op(self, cycle: int, core: int, op: Operation) -> None:
         if len(self.events) >= self.limit:
             self.truncated = True
             self.dropped += 1

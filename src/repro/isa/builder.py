@@ -19,14 +19,11 @@ import contextlib
 from typing import Any, Iterator, List, Optional, Sequence, Union
 
 from .operations import (
-    ALU_SEMANTICS,
-    COMPARISONS,
     Imm,
     Opcode,
     Operand,
     Operation,
     Reg,
-    RegFile,
     make_op,
 )
 from .program import BasicBlock, Function, Program

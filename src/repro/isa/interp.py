@@ -17,8 +17,8 @@ semantics.  It serves three roles in the reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .operations import (
     ALU_SEMANTICS,
@@ -80,18 +80,18 @@ class Interpreter:
         program.validate()
         self.program = program
         self.fuel = fuel
-        self.op_observers: List[OpObserver] = []
-        self.mem_observers: List[MemObserver] = []
-        self.block_observers: List[BlockObserver] = []
+        self.op_hooks: List[OpObserver] = []
+        self.mem_hooks: List[MemObserver] = []
+        self.block_hooks: List[BlockObserver] = []
 
     def observe_ops(self, observer: OpObserver) -> None:
-        self.op_observers.append(observer)
+        self.op_hooks.append(observer)
 
     def observe_memory(self, observer: MemObserver) -> None:
-        self.mem_observers.append(observer)
+        self.mem_hooks.append(observer)
 
     def observe_blocks(self, observer: BlockObserver) -> None:
-        self.block_observers.append(observer)
+        self.block_hooks.append(observer)
 
     # -- execution -----------------------------------------------------------
 
@@ -134,7 +134,7 @@ class Interpreter:
             if dynamic_ops > self.fuel:
                 raise OutOfFuel(f"exceeded {self.fuel} dynamic operations")
             op_counts[op.uid] = op_counts.get(op.uid, 0) + 1
-            for observer in self.op_observers:
+            for observer in self.op_hooks:
                 observer(op, frame)
 
             outcome = self._execute(op, frame, registers, memory, stack)
@@ -174,7 +174,7 @@ class Interpreter:
         self._count_block(frame, block_counts)
 
     def _notify_block(self, frame: Frame) -> None:
-        for observer in self.block_observers:
+        for observer in self.block_hooks:
             observer(frame.block, frame)
 
     @staticmethod
@@ -233,13 +233,13 @@ class Interpreter:
             return "next"
         if opcode is Opcode.LOAD:
             addr = int(read(op.srcs[0])) + int(read(op.srcs[1]))
-            for observer in self.mem_observers:
+            for observer in self.mem_hooks:
                 observer(op, addr, False, frame)
             registers.write(op.dest, memory.get(addr, 0))
             return "next"
         if opcode is Opcode.STORE:
             addr = int(read(op.srcs[0])) + int(read(op.srcs[1]))
-            for observer in self.mem_observers:
+            for observer in self.mem_hooks:
                 observer(op, addr, True, frame)
             memory[addr] = read(op.srcs[2])
             return "next"

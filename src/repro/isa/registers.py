@@ -10,7 +10,7 @@ until a PUT/GET or SEND/RECV transfers it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from .operations import Reg, RegFile
 

@@ -2,13 +2,14 @@
 
 The package is a zero-overhead-when-disabled instrumentation layer for
 the Voltron simulator.  An :class:`Observability` instance is the event
-bus: pass one to ``VoltronMachine(..., obs=...)`` (or through
-``repro.api.run_cell(..., obs=...)``) and the machine wires typed probes
-into every subsystem with something worth watching -- mode switches,
-stall attribution, clock-jump windows, operand-network traffic, cache
-misses, transactions, and fault injections.  With no observer attached
-every hook is a single ``is None`` check, so performance runs and the
-scheduling-kernel differential suite are untouched.
+bus, an :class:`~repro.sim.observer.Observer`: pass one to
+``VoltronMachine(..., observer=...)`` (or through
+``repro.api.run_cell(..., obs=...)``) and the machine hands it to every
+subsystem with something worth watching -- mode switches, stall
+attribution, clock-jump windows, operand-network traffic, cache misses,
+transactions, fault injections and recoveries.  With no observer
+attached every hook is a single ``is None`` check, so performance runs
+and the scheduling-kernel differential suite are untouched.
 
 On top of the bus:
 

@@ -1,14 +1,15 @@
-"""The observability event bus: typed probes, attached once per run.
+"""The observability event bus: an :class:`~repro.sim.observer.Observer`
+that records one run's timeline.
 
 Design constraints (in priority order):
 
-1. **Zero overhead when disabled.**  Every instrumented subsystem holds
-   an ``obs`` attribute defaulting to ``None`` and guards its probe with
-   a single ``if self.obs is not None:`` -- the same discipline the
-   fault-injection hooks follow.  Stall attribution goes further: with
-   no observer the per-core ``CoreStats.stall`` method is untouched;
-   attaching one swaps in a recording wrapper on the *instance*, so the
-   disabled path pays nothing at all.
+1. **Zero overhead when disabled.**  The bus is attached through the
+   machine's one observer slot, ``VoltronMachine(observer=...)``, whose
+   hook sites are each a single ``is None`` check -- the same discipline
+   the fault-injection hooks follow.  Stall attribution goes further:
+   with no observer the per-core ``CoreStats.stall`` method is
+   untouched; attaching the bus swaps in a recording wrapper on the
+   *instance*, so the disabled path pays nothing at all.
 2. **Reconciles exactly.**  Stall spans are recorded by intercepting the
    very ``CoreStats.stall`` calls that build ``MachineStats`` -- both the
    per-cycle attributions and the bulk credits for sleeping cores and
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..sim.observer import Observer
 from ..sim.stats import CoreStats
 from .series import MetricsSeries
 
@@ -41,15 +43,13 @@ class ObsConfig:
 
     ``sample_stride`` is the metrics-series sampling period in cycles;
     ``max_events`` bounds the discrete event lists (spans are run-length
-    merged and exempt); ``single_step`` steps every core on every cycle
-    so every cycle is individually visible in the series (stats and
-    stall spans are bit-identical either way -- the differential suite's
-    guarantee).
+    merged and exempt).  To see every cycle in the series, run the
+    machine with ``fast_forward=False`` (stats and stall spans are
+    bit-identical either way -- the differential suite's guarantee).
     """
 
     sample_stride: int = 64
     max_events: int = 2_000_000
-    single_step: bool = False
 
     def __post_init__(self) -> None:
         if self.sample_stride < 1:
@@ -130,10 +130,10 @@ class RecoveryEvent:
     cycles: int = 0
 
 
-class Observability:
+class Observability(Observer):
     """Event bus for one simulation run.
 
-    Create one, pass it to ``VoltronMachine(..., obs=...)`` (or
+    Create one, pass it to ``VoltronMachine(..., observer=...)`` (or
     ``repro.api.run_cell(..., obs=...)``), run, then read the collected
     spans/events or hand the instance to
     :func:`~repro.obs.perfetto.perfetto_trace` /
@@ -166,7 +166,7 @@ class Observability:
     # -- attachment ---------------------------------------------------------------
 
     def attach(self, machine) -> None:
-        """Wire the probes into one machine.  Called by
+        """Start observing one machine.  Called by
         ``VoltronMachine.__init__``; an instance observes exactly one run."""
         if self.machine is not None:
             raise RuntimeError(
@@ -178,20 +178,8 @@ class Observability:
         self.stall_spans = [[] for _ in range(self.n_cores)]
         self.series = MetricsSeries(self.config.sample_stride, self.n_cores)
         self._mode_open = (machine.cycle, machine.mode)
-        machine.network.obs = self
-        machine.tm.obs = self
-        machine.bus.obs = self
-        for index, icache in enumerate(machine.icaches):
-            icache.obs = self
-            icache.core_index = index
-        if machine.faults is not None:
-            machine.faults.obs = self
-        if machine.recovery is not None:
-            machine.recovery.obs = self
         for core in machine.cores:
             self._hook_stall(core.id, core.stats)
-        if self.config.single_step:
-            machine.fast_forward = False
 
     def _hook_stall(self, core_id: int, stats: CoreStats) -> None:
         """Swap a recording wrapper onto this instance's ``stall`` method.
@@ -222,12 +210,15 @@ class Observability:
         self._n_events += 1
         bucket.append(event)
 
-    # -- typed probes --------------------------------------------------------------
+    # -- events ----------------------------------------------------------------------
 
     def cycle(self, cycle: int) -> None:
-        """Per-cycle hook from the machine's run loop (stepped cycles
-        only; clock jumps arrive via :meth:`fast_forward_window`)."""
+        """Sample the series every ``sample_stride`` stepped cycles (clock
+        jumps arrive via :meth:`fast_forward_window`)."""
         if cycle % self.config.sample_stride == 0:
+            # The sample reads per-core tallies: settle sleeping cores'
+            # stall credits and the ensemble's busy count first.
+            self.machine._settle_all(cycle + 1)
             self.series.sample(self.machine, cycle)
 
     def mode_switch(self, cycle: int, old: str, new: str) -> None:

@@ -13,6 +13,7 @@ from .faults import FAULT_PROFILES, FaultConfig, FaultPlan
 from .machine import Deadlock, OutOfCycles, SimulatorError, VoltronMachine
 from .memory import MainMemory, WriteBuffer
 from .network import DirectWires, Message, NetworkError, OperandNetwork
+from .observer import CONTROL_TAG, Observer
 from .recovery import RECOVERY_COUNTERS, RecoveryManager
 from .stats import STALL_CATEGORIES, CoreStats, MachineStats
 from .tm import TransactionError, TransactionalMemory
@@ -44,6 +45,8 @@ __all__ = [
     "Message",
     "NetworkError",
     "OperandNetwork",
+    "CONTROL_TAG",
+    "Observer",
     "STALL_CATEGORIES",
     "CoreStats",
     "MachineStats",

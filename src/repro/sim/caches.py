@@ -161,9 +161,9 @@ class L1ICache:
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):
         #: fetches occasionally take extra cycles even on a hit.
         self.faults = None
-        #: Optional :class:`~repro.obs.events.Observability` event bus and
-        #: the owning core's index (both set by Observability.attach).
-        self.obs = None
+        #: Optional :class:`~repro.sim.observer.Observer` and the owning
+        #: core's index (both set by the machine when one is attached).
+        self.observer = None
         self.core_index = -1
 
     def access(self, addr: int, l2: SharedL2, memory_latency: int) -> int:
@@ -182,8 +182,8 @@ class L1ICache:
         array.insert(line_addr, SHARED)
         extra = 0 if self.faults is None else self.faults.ifetch_delay()
         latency = (l2.config.hit_latency if l2_hit else memory_latency) + extra
-        if self.obs is not None:
-            self.obs.icache_miss(self.core_index, latency)
+        if self.observer is not None:
+            self.observer.icache_miss(self.core_index, latency)
         return latency
 
 
@@ -206,9 +206,9 @@ class SnoopBus:
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):
         #: data accesses occasionally take extra cycles, hit or miss.
         self.faults = None
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, data-cache misses emit probe events.
-        self.obs = None
+        #: Optional :class:`~repro.sim.observer.Observer`: told about
+        #: every data-cache miss.
+        self.observer = None
 
     # -- public interface ----------------------------------------------------
 
@@ -239,8 +239,8 @@ class SnoopBus:
         if evicted is not None and evicted[1] in (MODIFIED, OWNED):
             self.l2.writeback(evicted[0])
         cycles = hit_latency + supplier_latency + fault_extra
-        if self.obs is not None:
-            self.obs.cache_miss(core, cycles)
+        if self.observer is not None:
+            self.observer.cache_miss(core, cycles)
         return cycles, True
 
     def flush_core(self, core: int) -> None:
@@ -371,8 +371,8 @@ class DirectoryCoherence(SnoopBus):
             hit_latency + self.directory_latency + supplier_latency
             + fault_extra
         )
-        if self.obs is not None:
-            self.obs.cache_miss(core, cycles)
+        if self.observer is not None:
+            self.observer.cache_miss(core, cycles)
         return cycles, True
 
     def flush_core(self, core: int) -> None:

@@ -14,7 +14,7 @@ category (near zero under a correct static schedule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..isa.machinecode import CoreBlock, CoreFunction

@@ -195,9 +195,9 @@ class FaultPlan:
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, every landed injection emits a probe event.
-        self.obs = None
+        #: Optional :class:`~repro.sim.observer.Observer`: told about
+        #: every landed injection.
+        self.observer = None
         seed = config.seed
         timing = config.profile in ("timing", "both")
         destructive = config.profile in ("destructive", "both")
@@ -236,29 +236,29 @@ class FaultPlan:
     def mem_delay(self) -> int:
         """Extra cycles for a data-cache access (0 = no fault)."""
         delay = self._mem.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("mem", delay)
+        if delay and self.observer is not None:
+            self.observer.fault("mem", delay)
         return delay
 
     def ifetch_delay(self) -> int:
         """Extra cycles for an instruction fetch (0 = no fault)."""
         delay = self._ifetch.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("ifetch", delay)
+        if delay and self.observer is not None:
+            self.observer.fault("ifetch", delay)
         return delay
 
     def net_delay(self) -> int:
         """Extra in-flight cycles for a queue-mode message (0 = no fault)."""
         delay = self._net.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("net", delay)
+        if delay and self.observer is not None:
+            self.observer.fault("net", delay)
         return delay
 
     def stall_hold(self) -> int:
         """Cycles to assert the stall bus over a coupled group (0 = none)."""
         delay = self._stall.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("stall_bus", delay)
+        if delay and self.observer is not None:
+            self.observer.fault("stall_bus", delay)
         return delay
 
     def directory_delay(self) -> int:
@@ -267,8 +267,8 @@ class FaultPlan:
         Probed only by :class:`~repro.sim.caches.DirectoryCoherence`, so
         snoop-bus machines never consume this stream."""
         delay = self._dir.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("directory", delay)
+        if delay and self.observer is not None:
+            self.observer.fault("directory", delay)
         return delay
 
     def vlink_hold(self) -> int:
@@ -277,15 +277,15 @@ class FaultPlan:
         ``vlink`` queue policy, so per-pair machines never consume this
         stream."""
         delay = self._vpool.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("vlink", delay)
+        if delay and self.observer is not None:
+            self.observer.fault("vlink", delay)
         return delay
 
     def spurious_conflict(self) -> bool:
         """Whether to abort a validation-passing commit anyway."""
         fired = self._tm.fire() > 0
-        if fired and self.obs is not None:
-            self.obs.fault("tm", 1)
+        if fired and self.observer is not None:
+            self.observer.fault("tm", 1)
         return fired
 
     # -- destructive probes ------------------------------------------------------
@@ -296,12 +296,12 @@ class FaultPlan:
         ``'corrupt'`` (delivered with a scrambled payload).  Drops are
         sampled first so the two channels stay independent streams."""
         if self._drop.fire():
-            if self.obs is not None:
-                self.obs.fault("drop", 1)
+            if self.observer is not None:
+                self.observer.fault("drop", 1)
             return "drop"
         if self._corrupt.fire():
-            if self.obs is not None:
-                self.obs.fault("corrupt", 1)
+            if self.observer is not None:
+                self.observer.fault("corrupt", 1)
             return "corrupt"
         return None
 
@@ -309,8 +309,8 @@ class FaultPlan:
         """Duration of a transient core blackout starting this cycle
         (0 = no fault).  Probed once per eligible core-cycle."""
         delay = self._blackout.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("blackout", delay)
+        if delay and self.observer is not None:
+            self.observer.fault("blackout", delay)
         return delay
 
     # -- accounting -------------------------------------------------------------

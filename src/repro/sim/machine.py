@@ -57,10 +57,22 @@ stepping every core on every cycle:
   second cycle on).  If no wake time exists at all, the machine raises
   :class:`Deadlock` instead of spinning to ``max_cycles``.
 
-Fault injection, ``op_observers``, ``ObsConfig(single_step=True)`` and
-``fast_forward=False`` run the same kernel with every core due on every
-cycle and every slot's fetch probed -- the reference that
-``tests/properties/test_prop_fastpath.py`` compares against.
+Fault injection and ``fast_forward=False`` run the same kernel with
+every core due on every cycle and every slot's fetch probed -- the
+reference that ``tests/properties/test_prop_fastpath.py`` compares
+against.  (:class:`~repro.harness.trace.Tracer` selects it on attach, so
+its per-op timeline shows every stalled issue attempt.)
+
+Observation
+-----------
+
+The machine has one observer slot, ``observer=``: an
+:class:`~repro.sim.observer.Observer` whose events (cycles, mode
+switches, clock jumps, issued ops, memory and queue traffic,
+transactions, cache misses, faults, recoveries) the machine and its
+subsystems fire behind a single ``is None`` check each.  The machine is
+the one place that hands the observer to the network, TM, caches, fault
+plan and recovery manager.
 """
 
 from __future__ import annotations
@@ -84,7 +96,8 @@ from .caches import L1ICache, make_coherence
 from .core import BARRIER_WAIT, HALTED, LISTENING, RUNNING, Core
 from .faults import FaultConfig, FaultPlan
 from .memory import MainMemory
-from .network import NetworkError, OperandNetwork
+from .network import OperandNetwork
+from .observer import CONTROL_TAG
 from .recovery import RecoveryManager
 from .stats import MachineStats
 from .tm import TransactionalMemory
@@ -129,8 +142,7 @@ class VoltronMachine:
         args: Tuple[Value, ...] = (),
         fast_forward: bool = True,
         faults: Optional[FaultPlan] = None,
-        obs=None,
-        sanitizer=None,
+        observer=None,
     ) -> None:
         if compiled.n_cores != config.n_cores:
             raise ValueError(
@@ -199,10 +211,6 @@ class VoltronMachine:
         # every-core scan in the main loop's continuation test.
         self._halted_count = 0
         self.return_value: Value = None
-        # Optional tracing: callables invoked as fn(cycle, core_id, op)
-        # for every executed operation (kept empty in performance runs;
-        # attaching one steps every core on every cycle).
-        self.op_observers: List = []
         # Barriers: kind -> set of arrived core ids.
         self._barrier: Dict[str, Set[int]] = {}
         # Cores released from a barrier become RUNNING at the next cycle
@@ -258,22 +266,24 @@ class VoltronMachine:
         self._line_words = config.l1i.line_words
         self._predecode()
 
-        # Observability (repro.obs): attaching an event bus wires typed
-        # probes into every subsystem; detached, each hook is a single
+        # The observer slot (repro.sim.observer): every subsystem with
+        # events gets the same observer; detached, each hook is a single
         # is-None check, so performance runs and the differential suite
-        # are untouched.  Attach last: the bus hooks the per-core stall
-        # methods and the network/TM/cache objects constructed above.
-        self.obs = obs
-        if obs is not None:
-            obs.attach(self)
-
-        # Dynamic race sanitizer (repro.analysis): read-only happens-before
-        # probes on the memory/comm/TM handlers, same is-None cost model
-        # as obs.  Attached after obs so its probes see the fully wired
-        # machine (it reads tm/network state but never mutates it).
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            sanitizer.attach(self)
+        # are untouched.  Attach last: an observer may hook the per-core
+        # stats and read the subsystems constructed above.
+        self.observer = observer
+        if observer is not None:
+            self.network.observer = observer
+            self.tm.observer = observer
+            self.bus.observer = observer
+            for index, icache in enumerate(self.icaches):
+                icache.observer = observer
+                icache.core_index = index
+            if self.faults is not None:
+                self.faults.observer = observer
+            if self.recovery is not None:
+                self.recovery.observer = observer
+            observer.attach(self)
 
     # -- pre-decode ----------------------------------------------------------------
 
@@ -322,14 +332,10 @@ class VoltronMachine:
         mode_count = 0
         block_key = None
         block_count = 0
-        obs = self.obs
-        sanitizer = self.sanitizer
-        stride = obs.config.sample_stride if obs is not None else 0
-        # Faults, op observers and single-stepping need every cycle of
-        # every core: the same kernel then keeps every core due.
-        event_driven = self._event_driven = (
-            self.fast_forward and not self.op_observers
-        )
+        observer = self.observer
+        # Faults and the Tracer need every cycle of every core: the same
+        # kernel then keeps every core due.
+        event_driven = self._event_driven = self.fast_forward
         # Sequential fetches within a line skip their probe unless every
         # probe must happen (fault draws ride on I-cache hits).
         self._skip_line = self._line_words if event_driven else 0
@@ -391,21 +397,18 @@ class VoltronMachine:
                         if self.recovery is not None:
                             # Degradation re-arms at mode barriers.
                             self.recovery.on_mode_switch(cycle + 1)
-                        if obs is not None:
+                        if observer is not None:
                             # This cycle still counts under the old mode;
                             # the switch takes effect at cycle + 1.
-                            obs.mode_switch(cycle + 1, self.mode, self._mode_next)
-                        if sanitizer is not None:
-                            sanitizer.on_mode_flip(self.mode, self._mode_next)
+                            observer.mode_switch(
+                                cycle + 1, self.mode, self._mode_next
+                            )
                         if self._mode_next == "decoupled":
                             self._enter_decoupled()
                     self.mode = self._mode_next
                     self._mode_next = None
-                if obs is not None:
-                    if cycle % stride == 0:
-                        # The series sample reads per-core tallies.
-                        self._settle_all(cycle + 1)
-                    obs.cycle(cycle)
+                if observer is not None:
+                    observer.cycle(cycle)
                 self.cycle = cycle + 1
         finally:
             # Flush even when OutOfCycles/Deadlock propagates, so the
@@ -430,8 +433,8 @@ class VoltronMachine:
                 # vectors mid-flight; prove the directory still mirrors
                 # the L1s once the run settles.
                 check_directory()
-        if obs is not None:
-            obs.finalize(self)
+        if observer is not None:
+            observer.finalize(self)
         return self.stats
 
     def final_memory(self) -> Dict[int, Value]:
@@ -501,18 +504,18 @@ class VoltronMachine:
             self.stats.block_cycles[key] = (
                 self.stats.block_cycles.get(key, 0) + skipped
             )
-        if self.obs is not None:
-            self.obs.fast_forward_window(cycle, target)
+        if self.observer is not None:
+            self.observer.fast_forward_window(cycle, target)
         self.cycle = target
         self._idle = False  # the earliest sleeper is due at the target
 
     def _credit(self, core: Core, cause: str, start: int, cycles: int) -> None:
-        """Charge ``cycles`` stall cycles starting at cycle ``start``.  The
-        obs stall hook stamps its span with ``self.cycle``, so the clock
-        reads ``start`` for the duration of the call."""
+        """Charge ``cycles`` stall cycles starting at cycle ``start``.  An
+        observer's stall hook stamps its span with ``self.cycle``, so the
+        clock reads ``start`` for the duration of the call."""
         if cause == "send":
             self.network.send_stalls += cycles
-        if self.obs is None:
+        if self.observer is None:
             core.stats.stall(cause, cycles)
             return
         now = self.cycle
@@ -866,7 +869,7 @@ class VoltronMachine:
                             member.stats.stall("latency")
                         return False
 
-        observers = self.op_observers
+        observer = self.observer
         self._busy_owed += 1
         hold = self._hold
         redirected = None
@@ -875,9 +878,8 @@ class VoltronMachine:
         pairs = iter(ops)
         for core, (op, handler, _, _) in zip(pairs, pairs):
             core.frame.slot = slot
-            if observers:
-                for observer in observers:
-                    observer(cycle, core.id, op)
+            if observer is not None:
+                observer.op(cycle, core.id, op)
             if handler is None:
                 raise SimulatorError(f"unimplemented opcode {op.opcode!r}")
             outcome = handler(self, core, op)
@@ -1040,9 +1042,8 @@ class VoltronMachine:
                 core.stats.stall("latency")
                 return
 
-        if self.op_observers:
-            for observer in self.op_observers:
-                observer(cycle, core.id, op)
+        if self.observer is not None:
+            self.observer.op(cycle, core.id, op)
         if handler is None:
             raise SimulatorError(f"unimplemented opcode {opcode!r}")
         outcome = handler(self, core, op)
@@ -1077,8 +1078,8 @@ class VoltronMachine:
             return
         core.stats.busy += 1
         core.status = RUNNING
-        if self.sanitizer is not None:
-            self.sanitizer.on_control_recv(core, message.src)
+        if self.observer is not None:
+            self.observer.recv(core, message.src, CONTROL_TAG)
         if message.kind == "spawn":
             core.jump(message.value)
         else:  # release: move past the LISTEN op
@@ -1153,8 +1154,8 @@ class VoltronMachine:
         value = self.tm.load(core.id, addr)
         core.write_reg(op.dest, value, self.cycle + 1 + cycles)
         core.stats.loads += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_load(core, op, addr)
+        if self.observer is not None:
+            self.observer.load(core, op, addr)
         if miss or cycles > self.config.l1d.hit_latency:
             core.stats.l1d_misses += miss
             core.block_until(self.cycle + 1 + cycles, "dstall")
@@ -1166,8 +1167,8 @@ class VoltronMachine:
         cycles, miss = self.bus.access(core.id, addr, is_store=True)
         self.tm.store(core.id, addr, read(op.srcs[2]))
         core.stats.stores += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_store(core, op, addr)
+        if self.observer is not None:
+            self.observer.store(core, op, addr)
         if miss or cycles > self.config.l1d.hit_latency:
             core.stats.l1d_misses += miss
             core.block_until(self.cycle + 1 + cycles, "dstall")
@@ -1262,10 +1263,8 @@ class VoltronMachine:
             tag=op.attrs.get("tag"),
         )
         core.stats.messages_sent += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_send(
-                core, op.attrs["target_core"], op.attrs.get("tag")
-            )
+        if self.observer is not None:
+            self.observer.send(core, op.attrs["target_core"], op.attrs.get("tag"))
         return "ok"
 
     def _do_recv(self, core: Core, op: Operation) -> str:
@@ -1281,10 +1280,8 @@ class VoltronMachine:
         if op.dests:
             core.write_reg(op.dest, message.value, self.cycle + 1)
         core.stats.messages_received += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_recv(
-                core, op.attrs["source_core"], op.attrs.get("tag")
-            )
+        if self.observer is not None:
+            self.observer.recv(core, op.attrs["source_core"], op.attrs.get("tag"))
         return "ok"
 
     def _do_spawn(self, core: Core, op: Operation) -> str:
@@ -1296,16 +1293,16 @@ class VoltronMachine:
             kind="spawn",
         )
         self.stats.spawns += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_control_send(core, op.attrs["target_core"])
+        if self.observer is not None:
+            self.observer.send(core, op.attrs["target_core"], CONTROL_TAG)
         return "ok"
 
     def _do_release(self, core: Core, op: Operation) -> str:
         self.network.send(
             core.id, op.attrs["target_core"], None, self.cycle, kind="release"
         )
-        if self.sanitizer is not None:
-            self.sanitizer.on_control_send(core, op.attrs["target_core"])
+        if self.observer is not None:
+            self.observer.send(core, op.attrs["target_core"], CONTROL_TAG)
         return "ok"
 
     def _do_sleep(self, core: Core, op: Operation) -> str:
@@ -1338,8 +1335,6 @@ class VoltronMachine:
                 self.cycle + 1 + self.config.tm_commit_latency, "tx_wait"
             )
             core.tx_checkpoint = None
-            if self.sanitizer is not None:
-                self.sanitizer.on_tx_commit(core)
             if self._tx_waiters:
                 # The next chunk in commit order may now commit.
                 for waiter in self._tx_waiters:
@@ -1348,8 +1343,6 @@ class VoltronMachine:
             return "ok"
         restart = core.rollback_registers()
         core.jump(restart)
-        if self.sanitizer is not None:
-            self.sanitizer.on_tx_abort(core)
         return "redirect"
 
     def _do_mode_switch(self, core: Core, op: Operation) -> str:

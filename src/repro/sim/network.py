@@ -30,9 +30,8 @@ Two receive-queue organizations (``NetworkConfig.queue_policy``):
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import NetworkConfig
 from ..arch.mesh import Mesh
@@ -181,9 +180,9 @@ class OperandNetwork:
         #: every delivery becomes a transmission attempt the link layer
         #: adjudicates (CRC check / drop detection / retransmission).
         self.recovery = None
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, sends and receives emit probe events.
-        self.obs = None
+        #: Optional :class:`~repro.sim.observer.Observer`: told about
+        #: every send and receive.
+        self.observer = None
         #: Optional event-driven core scheduler (the machine): told about
         #: every send, so a core sleeping on a RECV or LISTEN wakes at the
         #: message's arrival, and every credit return, so a core sleeping
@@ -267,8 +266,8 @@ class OperandNetwork:
         if self.recovery is not None:
             message.crc = message_crc(message)
         self._in_flight.append(message)
-        if self.obs is not None:
-            self.obs.net_send(cycle, src, dst, kind, self._seq, arrival)
+        if self.observer is not None:
+            self.observer.net_send(cycle, src, dst, kind, self._seq, arrival)
         if self.scheduler is not None:
             self.scheduler.on_send(message)
 
@@ -380,8 +379,8 @@ class OperandNetwork:
                 - self.mesh.hops(message.src, message.dst)
                 - self.config.queue_entry_cycles
             )
-            if self.obs is not None:
-                self.obs.net_recv(cycle, message.seq)
+            if self.observer is not None:
+                self.observer.net_recv(cycle, message.seq)
             return message
         return None
 
@@ -392,8 +391,8 @@ class OperandNetwork:
             if message.kind in ("spawn", "release") and message.ready_cycle <= cycle:
                 del queue[i]
                 self._release_credit(message)
-                if self.obs is not None:
-                    self.obs.net_recv(cycle, message.seq)
+                if self.observer is not None:
+                    self.observer.net_recv(cycle, message.seq)
                 return message
         return None
 

@@ -51,7 +51,7 @@ memory stays bit-identical to the fault-free golden under any plan.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict
 
 #: Fixed restore cost once the watchdog fires: re-initializing the
 #: pipeline and reloading the register checkpoint.
@@ -149,9 +149,9 @@ class RecoveryManager:
         self.counters: Dict[str, int] = {
             key: 0 for key in RECOVERY_COUNTERS
         }
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, every detection/repair emits a recovery event.
-        self.obs = None
+        #: Optional :class:`~repro.sim.observer.Observer`: told about
+        #: every detection/repair.
+        self.observer = None
         #: Blacked-out cores: core id -> {"wake": ..., "detect": ...}.
         self._down: Dict[int, Dict[str, int]] = {}
         #: Blackouts suffered per core (feeds the degradation budget).
@@ -196,8 +196,8 @@ class RecoveryManager:
 
     def _event(self, cycle: int, kind: str, core: int, detail: str,
                cycles: int = 0) -> None:
-        if self.obs is not None:
-            self.obs.recovery(cycle, kind, core, detail, cycles)
+        if self.observer is not None:
+            self.observer.recovery(cycle, kind, core, detail, cycles)
 
     def counters_dict(self) -> Dict[str, int]:
         return dict(self.counters)

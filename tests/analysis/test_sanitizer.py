@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import RaceSanitizer
+from repro.analysis import RaceSanitizer, apply_mutation, run_sanitized
 from repro.api import compile_benchmark
 from repro.arch.config import mesh
 from repro.sim.faults import FaultConfig
@@ -15,7 +15,7 @@ from repro.sim.machine import VoltronMachine
 
 def _run(compiled, sanitizer=None):
     machine = VoltronMachine(
-        compiled, mesh(4), max_cycles=50_000_000, sanitizer=sanitizer
+        compiled, mesh(4), max_cycles=50_000_000, observer=sanitizer
     )
     machine.run()
     return machine
@@ -64,7 +64,7 @@ def test_destructive_faults_are_rejected():
     faults = FaultConfig(seed=3, profile="destructive", drop_rate=0.01)
     with pytest.raises(ValueError, match="destructive"):
         VoltronMachine(
-            compiled, mesh(4), faults=faults, sanitizer=RaceSanitizer()
+            compiled, mesh(4), faults=faults, observer=RaceSanitizer()
         )
 
 
@@ -75,7 +75,7 @@ def test_timing_faults_are_fine():
     faults = FaultConfig(seed=3, rate=0.01)
     sanitizer = RaceSanitizer()
     machine = VoltronMachine(
-        compiled, mesh(4), faults=faults, sanitizer=sanitizer
+        compiled, mesh(4), faults=faults, observer=sanitizer
     )
     machine.run()
     assert sanitizer.findings == []
@@ -87,3 +87,30 @@ def test_finding_cap_bounds_memory(tlp_cell, inject_sync):
     sanitizer = RaceSanitizer(max_findings=1)
     _run(tlp_cell, sanitizer)
     assert len(sanitizer.findings) <= 1
+
+
+def test_leaked_message_is_reported():
+    """A duplicated SEND whose extra message nobody receives leaves the
+    network non-quiescent at halt: ``run_sanitized`` reports a
+    ``message-leak`` finding, which a suppression can tolerate."""
+
+    def mutated():
+        compiled = compile_benchmark("unepic", 4, "tlp")
+        assert apply_mutation(compiled, "duplicate_send") is not None
+        return compiled
+
+    run = run_sanitized(mutated(), mesh(4))
+    leaks = [f for f in run.findings if f.kind == "message-leak"]
+    assert leaks and not leaks[0].suppressed
+    assert run.leak is leaks[0]
+    assert not run.machine.network.quiescent()
+
+    tolerated = run_sanitized(mutated(), mesh(4), suppressions=["message-leak"])
+    assert tolerated.leak is not None and tolerated.leak.suppressed
+
+
+def test_clean_cell_has_no_leak():
+    run = run_sanitized(compile_benchmark("unepic", 4, "tlp"), mesh(4))
+    assert run.leak is None
+    assert run.findings == []
+    assert run.sanitizer.checked_accesses > 0

@@ -30,7 +30,8 @@ def _machine(strategy="ilp", n_cores=2, **kwargs):
     return VoltronMachine(compiled, config, **kwargs)
 
 
-def _kernel_machine(kernel, strategy, n_cores=2, obs=None, **kernel_kwargs):
+def _kernel_machine(kernel, strategy, n_cores=2, observer=None,
+                    **kernel_kwargs):
     from repro.workloads.kernels import KernelContext
 
     pb = ProgramBuilder(f"obs_{kernel.__name__}")
@@ -41,7 +42,7 @@ def _kernel_machine(kernel, strategy, n_cores=2, obs=None, **kernel_kwargs):
     fb.halt()
     compiled = compile_program(pb.finish(), n_cores, strategy)
     config = two_core() if n_cores == 2 else mesh(n_cores)
-    return VoltronMachine(compiled, config, obs=obs)
+    return VoltronMachine(compiled, config, observer=observer)
 
 
 class TestObsConfig:
@@ -57,22 +58,15 @@ class TestObsConfig:
 class TestAttachment:
     def test_instance_observes_exactly_one_run(self):
         obs = Observability()
-        _machine(obs=obs).run()
+        _machine(observer=obs).run()
         with pytest.raises(RuntimeError):
-            _machine(obs=obs)
-
-    def test_single_step_disables_fast_forward(self):
-        obs = Observability(ObsConfig(single_step=True))
-        machine = _machine(obs=obs)
-        assert machine.fast_forward is False
-        machine.run()
-        assert obs.ff_windows == []
+            _machine(observer=obs)
 
 
 class TestProbes:
     def test_timeline_probes_fire(self):
         obs = Observability()
-        stats = _machine("hybrid", 4, obs=obs).run()
+        stats = _machine("hybrid", 4, observer=obs).run()
         assert obs.final_cycle == stats.cycles
         assert obs.mode_segments
         # Segments tile the whole run: start at 0, end at the final cycle,
@@ -86,7 +80,7 @@ class TestProbes:
 
     def test_series_cumulative_columns_end_at_final_stats(self):
         obs = Observability(ObsConfig(sample_stride=16))
-        stats = _machine("ilp", 2, obs=obs).run()
+        stats = _machine("ilp", 2, observer=obs).run()
         series = obs.series
         assert series.cycle[-1] == stats.cycles
         assert series.busy[-1] == sum(core.busy for core in stats.cores)
@@ -97,7 +91,7 @@ class TestProbes:
 
     def test_cache_miss_probe_fires_on_cold_caches(self):
         obs = Observability()
-        _machine("ilp", 2, obs=obs).run()
+        _machine("ilp", 2, observer=obs).run()
         assert obs.cache_misses
         assert all(miss.latency > 0 for miss in obs.cache_misses)
         assert {miss.where for miss in obs.cache_misses} <= {"l1d", "l1i"}
@@ -107,7 +101,7 @@ class TestProbes:
 
         obs = Observability()
         stats = _kernel_machine(
-            doall_kernel, "llp", obs=obs, trips=64, work=2
+            doall_kernel, "llp", observer=obs, trips=64, work=2
         ).run()
         summary = summarize(obs)
         assert stats.tx_commits > 0
@@ -120,7 +114,7 @@ class TestProbes:
         from repro.workloads import match_kernel
 
         obs = Observability()
-        _kernel_machine(match_kernel, "tlp", obs=obs, length=320).run()
+        _kernel_machine(match_kernel, "tlp", observer=obs, length=320).run()
         assert obs.net_sends
         sent = {send.seq for send in obs.net_sends}
         assert {recv.seq for recv in obs.net_recvs} <= sent
@@ -128,7 +122,7 @@ class TestProbes:
     def test_fault_probe_fires_and_run_stays_deterministic(self):
         faults = FaultConfig(seed=3, rate=0.5)
         obs = Observability()
-        machine = _machine("ilp", 2, obs=obs, faults=faults)
+        machine = _machine("ilp", 2, observer=obs, faults=faults)
         stats = machine.run()
         assert machine.faults.injections() > 0
         assert obs.fault_events
@@ -150,14 +144,14 @@ class TestZeroOverheadDifferential:
     def test_stats_bit_identical_with_and_without_obs(self, strategy, n_cores):
         plain = _machine(strategy, n_cores).run()
         obs = Observability()
-        observed = _machine(strategy, n_cores, obs=obs).run()
+        observed = _machine(strategy, n_cores, observer=obs).run()
         assert observed.to_dict() == plain.to_dict()
         reconcile(summarize(obs), observed)
 
     def test_single_step_stats_identical_to_fast_forwarded(self):
         plain = _machine("hybrid", 4).run()
-        obs = Observability(ObsConfig(single_step=True))
-        observed = _machine("hybrid", 4, obs=obs).run()
+        obs = Observability()
+        observed = _machine("hybrid", 4, observer=obs, fast_forward=False).run()
         assert observed.to_dict() == plain.to_dict()
         reconcile(summarize(obs), observed)
 
@@ -179,9 +173,11 @@ class TestStallSpansExact:
             "hybrid", config
         )
         observers = []
-        for obs_config in (ObsConfig(), ObsConfig(single_step=True)):
-            obs = Observability(obs_config)
-            VoltronMachine(compiled, config, obs=obs).run()
+        for fast_forward in (True, False):
+            obs = Observability()
+            VoltronMachine(
+                compiled, config, fast_forward=fast_forward, observer=obs
+            ).run()
             observers.append(obs)
         fast, stepped = observers
         assert fast.ff_windows  # the event-driven kernel did jump
@@ -201,7 +197,7 @@ class TestStallSpansExact:
 class TestTruncation:
     def test_event_cap_truncates_but_spans_stay_complete(self):
         obs = Observability(ObsConfig(max_events=1))
-        stats = _machine("hybrid", 4, obs=obs).run()
+        stats = _machine("hybrid", 4, observer=obs).run()
         assert obs.truncated
         assert len(obs.cache_misses) + len(obs.tx_events) + len(
             obs.net_sends

@@ -30,7 +30,7 @@ def _observed(strategy="hybrid", n_cores=4, stride=64):
     obs = Observability(ObsConfig(sample_stride=stride))
     compiled = compile_program(program, n_cores, strategy)
     config = single_core() if n_cores == 1 else mesh(n_cores)
-    VoltronMachine(compiled, config, obs=obs).run()
+    VoltronMachine(compiled, config, observer=obs).run()
     return obs
 
 
@@ -46,7 +46,7 @@ def _observed_doall():
     fb.halt()
     obs = Observability()
     compiled = compile_program(pb.finish(), 2, "llp")
-    VoltronMachine(compiled, two_core(), obs=obs).run()
+    VoltronMachine(compiled, two_core(), observer=obs).run()
     return obs
 
 

@@ -64,7 +64,7 @@ def test_large_mesh_cells_verify_clean(bench_name, n_cores):
         assert report.ok, f"{bench_name}/{strategy}: {report.render()}"
         if strategy in ("tlp", "hybrid"):
             sanitizer = RaceSanitizer()
-            machine = VoltronMachine(compiled, config, sanitizer=sanitizer)
+            machine = VoltronMachine(compiled, config, observer=sanitizer)
             machine.run()
             assert not sanitizer.findings, (
                 f"{bench_name}/{strategy}: "

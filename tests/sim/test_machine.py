@@ -14,7 +14,7 @@ from repro.compiler import VoltronCompiler
 from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
 from repro.isa.program import Function, Program
-from repro.obs import ObsConfig, Observability
+from repro.obs import Observability
 from repro.sim import Deadlock, OutOfCycles, SimulatorError, VoltronMachine
 from repro.workloads.suite import build
 
@@ -481,8 +481,10 @@ class TestOutOfCyclesInsideSleeps:
     def _cut_inside(compiled, config, categories, mode):
         """A cycle strictly inside a stall span of one of ``categories``
         recorded while the machine was in ``mode``."""
-        obs = Observability(ObsConfig(single_step=True))
-        VoltronMachine(compiled, config, obs=obs).run()
+        obs = Observability()
+        VoltronMachine(
+            compiled, config, fast_forward=False, observer=obs
+        ).run()
         windows = [(s, e) for s, e, m in obs.mode_segments if m == mode]
         for spans in obs.stall_spans:
             for start, length, category in spans:

@@ -7,7 +7,7 @@ from repro.arch import four_core, mesh, single_core, two_core
 from repro.compiler import VoltronCompiler, compile_program
 from repro.isa import ProgramBuilder, run_program
 from repro.isa.operations import Opcode
-from repro.sim import VoltronMachine
+from repro.sim import Observer, VoltronMachine
 from repro.workloads.kernels import KernelContext, doall_kernel, strand_kernel
 
 
@@ -71,11 +71,13 @@ class TestObservers:
     def test_observer_sees_executed_ops(self):
         program, out = _doall_program(trips=16)
         compiled = compile_program(program, 2, "ilp")
-        machine = VoltronMachine(compiled, two_core())
         seen = []
-        machine.op_observers.append(
-            lambda cycle, core, op: seen.append((cycle, core, op.opcode))
-        )
+
+        class OpLog(Observer):
+            def op(self, cycle, core, op):
+                seen.append((cycle, core, op.opcode))
+
+        machine = VoltronMachine(compiled, two_core(), observer=OpLog())
         stats = machine.run()
         assert len(seen) >= stats.total_ops()
         assert any(opcode is Opcode.PUT for _c, _k, opcode in seen)

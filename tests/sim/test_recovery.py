@@ -270,7 +270,7 @@ class TestObservability:
             profile="destructive", seed=11, corrupt_rate=0.2, drop_rate=0.2,
         ))
         obs = Observability()
-        machine = VoltronMachine(compiled, config, faults=plan, obs=obs)
+        machine = VoltronMachine(compiled, config, faults=plan, observer=obs)
         stats = machine.run()
         assert obs.recovery_events
         # reconcile raises on any timeline/stats mismatch; surviving it
